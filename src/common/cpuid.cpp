@@ -16,7 +16,9 @@ CpuFeatures detect() {
 #if WIFISENSE_CPUID_X86
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
     if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
+        f.sse41 = (ecx & bit_SSE4_1) != 0;
         f.sse42 = (ecx & bit_SSE4_2) != 0;
+        f.pclmul = (ecx & bit_PCLMUL) != 0;
         f.avx = (ecx & bit_AVX) != 0;
         f.fma = (ecx & bit_FMA) != 0;
     }
@@ -40,7 +42,9 @@ std::string cpu_feature_string() {
         if (!s.empty()) s += ' ';
         s += name;
     };
+    if (f.sse41) append("sse4.1");
     if (f.sse42) append("sse4.2");
+    if (f.pclmul) append("pclmul");
     if (f.avx) append("avx");
     if (f.avx2) append("avx2");
     if (f.fma) append("fma");

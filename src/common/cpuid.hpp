@@ -10,10 +10,13 @@
 
 namespace wifisense::common {
 
-/// Instruction-set extensions relevant to the kernel backends. All fields
-/// are false on non-x86 builds (the query compiles to a constant).
+/// Instruction-set extensions relevant to the kernel backends and the
+/// CRC-32 fold (src/common/crc32.hpp). All fields are false on non-x86
+/// builds (the query compiles to a constant).
 struct CpuFeatures {
+    bool sse41 = false;
     bool sse42 = false;
+    bool pclmul = false;  ///< carry-less multiply (the CRC-32 fold)
     bool avx = false;
     bool avx2 = false;
     bool fma = false;
@@ -22,9 +25,9 @@ struct CpuFeatures {
 /// Query the hardware once; subsequent calls return the cached result.
 const CpuFeatures& cpu_features();
 
-/// Space-separated list of the detected features ("sse4.2 avx avx2 fma"),
-/// or "baseline" when none apply — recorded in bench JSON so perf trends
-/// are attributable to the host that produced them.
+/// Space-separated list of the detected features ("sse4.1 sse4.2 pclmul
+/// avx avx2 fma"), or "baseline" when none apply — recorded in bench JSON
+/// so perf trends are attributable to the host that produced them.
 std::string cpu_feature_string();
 
 }  // namespace wifisense::common

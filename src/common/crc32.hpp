@@ -10,8 +10,11 @@
 
 namespace wifisense::common {
 
-/// CRC-32 of `n` bytes. Table-driven, allocation-free, safe to call
-/// concurrently (the table is built once at first use).
+/// CRC-32 of `n` bytes. Allocation-free and safe to call concurrently.
+/// Runs of 64+ bytes fold 16 bytes per PCLMULQDQ step where CPUID reports
+/// the instruction; everything else (and the < 16-byte tail) goes through a
+/// byte table. Both paths compute the same polynomial remainder, so the
+/// value never depends on the host.
 std::uint32_t crc32(const void* data, std::size_t n);
 
 /// Streaming form: continue a running CRC (start from crc32_init(), finish

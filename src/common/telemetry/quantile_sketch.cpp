@@ -1,116 +1,37 @@
 #include "common/telemetry/quantile_sketch.hpp"
 
+#include <algorithm>
+
 namespace wifisense::common {
 
-namespace {
-
-/// Piecewise-parabolic (P²) height prediction for marker i moved by d
-/// (±1). Falls back to linear interpolation when the parabola would push
-/// the marker past a neighbour (the standard P² guard).
-double parabolic(const double* h, const double* p, int i, double d) {
-    const double num1 = p[i] - p[i - 1] + d;
-    const double num2 = p[i + 1] - p[i] - d;
-    const double dp1 = (h[i + 1] - h[i]) / (p[i + 1] - p[i]);
-    const double dm1 = (h[i] - h[i - 1]) / (p[i] - p[i - 1]);
-    return h[i] + d / (p[i + 1] - p[i - 1]) * (num1 * dp1 + num2 * dm1);
-}
-
-double linear(const double* h, const double* p, int i, double d) {
-    const int j = i + static_cast<int>(d);
-    return h[i] + d * (h[j] - h[i]) / (p[j] - p[i]);
-}
-
-}  // namespace
-
-// wifisense-lint: requires(noalloc, noexcept, noclock, det)
-void P2Quantile::observe(double v) {
-    if (n_ < 5) {
-        // Warm-up: insertion-sort the first five observations into place.
-        std::uint64_t i = n_;
-        while (i > 0 && heights_[i - 1] > v) {
-            heights_[i] = heights_[i - 1];
-            --i;
-        }
-        heights_[i] = v;
-        ++n_;
-        if (n_ == 5) {
-            for (int k = 0; k < 5; ++k) pos_[k] = k + 1;
-            desired_[0] = 1.0;
-            desired_[1] = 1.0 + 2.0 * q_;
-            desired_[2] = 1.0 + 4.0 * q_;
-            desired_[3] = 3.0 + 2.0 * q_;
-            desired_[4] = 5.0;
-        }
-        return;
-    }
-
-    // Locate the cell and clamp the extremes.
-    int k;
-    if (v < heights_[0]) {
-        heights_[0] = v;
-        k = 0;
-    } else if (v >= heights_[4]) {
-        heights_[4] = v;
-        k = 3;
-    } else {
-        k = 0;
-        while (k < 3 && v >= heights_[k + 1]) ++k;
-    }
-    for (int i = k + 1; i < 5; ++i) pos_[i] += 1.0;
-    ++n_;
-
-    // Desired positions advance by their quantile-proportional increments.
-    desired_[1] += q_ / 2.0;
-    desired_[2] += q_;
-    desired_[3] += (1.0 + q_) / 2.0;
-    desired_[4] += 1.0;
-
-    // Adjust the three interior markers toward their desired positions.
-    for (int i = 1; i <= 3; ++i) {
-        const double d = desired_[i] - pos_[i];
-        if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
-            (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
-            const double step = d >= 0.0 ? 1.0 : -1.0;
-            double h = parabolic(heights_, pos_, i, step);
-            if (h <= heights_[i - 1] || h >= heights_[i + 1])
-                h = linear(heights_, pos_, i, step);
-            heights_[i] = h;
-            pos_[i] += step;
-        }
-    }
-}
-
-[[nodiscard]] double P2Quantile::estimate() const {
-    if (n_ == 0) return 0.0;
-    if (n_ < 5) {
-        // Exact sample quantile over the sorted warm-up buffer
-        // (nearest-rank on n_ observations).
-        const double rank = q_ * static_cast<double>(n_ - 1);
-        std::uint64_t lo = static_cast<std::uint64_t>(rank);
-        if (lo >= n_ - 1) return heights_[n_ - 1];
-        const double frac = rank - static_cast<double>(lo);
-        return heights_[lo] + frac * (heights_[lo + 1] - heights_[lo]);
-    }
-    return heights_[2];
-}
-
-void P2Quantile::reset() {
-    n_ = 0;
-    for (int i = 0; i < 5; ++i) {
-        heights_[i] = 0.0;
-        pos_[i] = i + 1;
-        desired_[i] = 0.0;
-    }
-}
-
 QuantileSketch::QuantileSketch(std::string name) : name_(std::move(name)) {}
+
+void QuantileSketch::compact(std::size_t h) {
+    constexpr std::size_t kHalf = kSketchLevelCapacity / 2;
+    const double* src = levels_[h] + ((offsets_ >> h) & 1u);
+    offsets_ ^= std::uint64_t{1} << h;
+    // Merge src[0], src[2], ... into the sorted prefix of level h+1 from the
+    // back, so neither run needs a scratch copy.
+    double* dst = levels_[h + 1];
+    std::size_t a = size_[h + 1];
+    std::size_t b = kHalf;
+    std::size_t out = a + b;
+    while (b > 0) {
+        if (a > 0 && dst[a - 1] > src[2 * (b - 1)])
+            dst[--out] = dst[--a];
+        else
+            dst[--out] = src[2 * --b];
+    }
+    size_[h + 1] += kHalf;
+    size_[h] = 0;
+    if (h + 2 > height_) height_ = h + 2;
+}
 
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void QuantileSketch::observe(double v) {
     if (!metrics_enabled()) return;
-    if (!(v == v)) return;  // NaN would poison every marker
+    if (!(v == v)) return;  // NaN has no place in the sort order
     lock_spin();
-    for (auto& e : est_) e.observe(v);
     const std::uint64_t n = count_.load(std::memory_order_relaxed);
     if (n == 0) {
         min_ = v;
@@ -121,32 +42,83 @@ void QuantileSketch::observe(double v) {
         if (v > max_) max_ = v;
         sum_ += v;
     }
+    levels_[0][size_[0]++] = v;
+    if (size_[0] == kSketchLevelCapacity) {
+        std::sort(levels_[0], levels_[0] + kSketchLevelCapacity);
+        for (std::size_t h = 0; size_[h] == kSketchLevelCapacity; ++h)
+            compact(h);
+    }
     count_.store(n + 1, std::memory_order_relaxed);
     unlock_spin();
 }
 
-[[nodiscard]] double QuantileSketch::estimate(std::size_t i) const {
+double QuantileSketch::quantile_locked(double q) const {
+    const std::uint64_t n = count_.load(std::memory_order_relaxed);
+    if (n == 0) return 0.0;
+    // Level 0 is the only unsorted run; sort a copy, then walk all levels in
+    // merged value order. Sample k of weight w covers ranks [c, c + w) after
+    // c of cumulative weight, and sits at the centre c + (w - 1) / 2.
+    double level0[kSketchLevelCapacity] = {};
+    std::copy(levels_[0], levels_[0] + size_[0], level0);
+    std::sort(level0, level0 + size_[0]);
+    std::size_t at[kSketchLevels] = {};
+
+    // min_ anchors rank 0 and max_ rank n - 1; target <= n - 1 because q < 1,
+    // so the walk always ends, and prev_rank < target < rank when it
+    // interpolates.
+    const double target = q * static_cast<double>(n - 1);
+    double prev_rank = 0.0;
+    double prev_value = min_;
+    double covered = 0.0;
+    for (;;) {
+        std::size_t best = kSketchLevels;
+        double value = max_;
+        for (std::size_t h = 0; h < height_; ++h) {
+            if (at[h] == size_[h]) continue;
+            const double v = h == 0 ? level0[at[0]] : levels_[h][at[h]];
+            if (best == kSketchLevels || v < value) {
+                best = h;
+                value = v;
+            }
+        }
+        double rank = static_cast<double>(n - 1);
+        if (best != kSketchLevels) {
+            const double weight = static_cast<double>(std::uint64_t{1} << best);
+            rank = covered + (weight - 1.0) / 2.0;
+            covered += weight;
+            ++at[best];
+        }
+        if (rank == target) return value;
+        if (rank > target)
+            return prev_value + (target - prev_rank) / (rank - prev_rank) *
+                                    (value - prev_value);
+        prev_rank = rank;
+        prev_value = value;
+    }
+}
+
+double QuantileSketch::estimate(std::size_t i) const {
     lock_spin();
-    const double v = est_[i].estimate();
+    const double v = quantile_locked(kSketchQuantiles[i]);
     unlock_spin();
     return v;
 }
 
-[[nodiscard]] double QuantileSketch::min() const {
+double QuantileSketch::min() const {
     lock_spin();
     const double v = min_;
     unlock_spin();
     return v;
 }
 
-[[nodiscard]] double QuantileSketch::max() const {
+double QuantileSketch::max() const {
     lock_spin();
     const double v = max_;
     unlock_spin();
     return v;
 }
 
-[[nodiscard]] double QuantileSketch::sum() const {
+double QuantileSketch::sum() const {
     lock_spin();
     const double v = sum_;
     unlock_spin();
@@ -155,11 +127,13 @@ void QuantileSketch::observe(double v) {
 
 void QuantileSketch::reset() {
     lock_spin();
-    for (auto& e : est_) e.reset();
     count_.store(0, std::memory_order_relaxed);
     min_ = 0.0;
     max_ = 0.0;
     sum_ = 0.0;
+    offsets_ = 0;
+    height_ = 1;
+    std::fill(std::begin(size_), std::end(size_), 0u);
     unlock_spin();
 }
 

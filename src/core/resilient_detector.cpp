@@ -40,9 +40,9 @@ void note_mode_transition(DetectorMode mode, double t) {
 }
 
 /// Observability hook for one model inference: microsecond latency feeds the
-/// lifetime P2 sketch and the 60s sliding-window reservoir keyed on stream
-/// time. Registration runs once behind the function-local statics; the two
-/// observe() calls are proven noalloc/noexcept lint roots.
+/// lifetime quantile sketch and the 60s sliding-window reservoir keyed on
+/// stream time. Registration runs once behind the function-local statics;
+/// the two observe() calls are proven noalloc/noexcept lint roots.
 void note_predict_latency(double stream_t, double us) {
     static common::QuantileSketch& sketch =
         common::obs_sketch("resilient.predict_us");

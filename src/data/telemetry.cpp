@@ -228,6 +228,22 @@ void TelemetryDecoder::scan(WireSink& sink, bool at_end) {
             skip_byte(pos);
             continue;
         }
+        // A frame cut to 307 bytes passes the CRC when its lost top CRC byte
+        // equals the next frame's first magic byte: the check borrows that
+        // byte. An intact frame followed by a real one has the next magic at
+        // byte 308, so the magic at [307, 311) marks the cut. Report it and
+        // resync there. (If the input ends before byte 311, the decoder
+        // cannot tell and accepts, as it must for an intact last frame.)
+        if (len_ - pos >= kWireFrameBytes - 1 + sizeof(kMagicBytes) &&
+            std::memcmp(buf_.data() + pos + kWireFrameBytes - 1, kMagicBytes,
+                        sizeof(kMagicBytes)) == 0) {
+            constexpr std::uint32_t kCut = kWireFrameBytes - 1;
+            stats_.truncated++;
+            stats_.bytes_skipped += kCut;
+            typed_defect(FrameDefectKind::kTruncated, pos, kCut);
+            pos += kCut;
+            continue;
+        }
         flush_garbage();
         WireCsiPayload payload;
         std::memcpy(&payload, buf_.data() + pos + sizeof(WireFrameHeader),

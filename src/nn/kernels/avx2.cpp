@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace wifisense::nn::kernels {
 
@@ -45,23 +46,73 @@ std::int32_t hsum_epi32(__m256i v) {
 
 // wifisense-lint: noalloc-begin
 
-/// Single-row broadcast kernel: the row/column tails of the blocked GEMM
-/// below, and the whole job for narrow outputs. Starts at column j0.
-void matmul_row_tail(const float* arow, const float* b, float* crow,
-                     std::size_t k, std::size_t n, std::size_t j0) {
-    const std::size_t n8 = j0 + ((n - j0) & ~std::size_t{7});
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        if (av == 0.0f) continue;  // post-ReLU activations are ~half zeros
-        const __m256 vav = _mm256_set1_ps(av);
-        const float* brow = b + kk * n;
-        std::size_t j = j0;
-        for (; j < n8; j += 8) {
-            const __m256 acc = _mm256_loadu_ps(crow + j);
-            _mm256_storeu_ps(crow + j,
-                             _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), acc));
+/// k-steps per compaction pass of the single-row kernel: the nonzero list
+/// (k index + activation per entry) is a 2 KiB stack buffer. One pass
+/// covers every layer of the paper model (k <= 256).
+constexpr std::size_t kNzChunk = 256;
+
+/// Register tile of the single-row kernel: NV ymm accumulators hold columns
+/// [0, 8*NV) of cj across the whole nonzero list, so C is loaded and stored
+/// once per pass instead of once per k step. Eight is the widest tile used:
+/// it covers the FMA latency x port count, and sixteen accumulators plus
+/// the broadcast do not fit the sixteen ymm registers (GCC spills them).
+template <std::size_t NV>
+void gemv_tile(const std::uint32_t* nz_k, const float* nz_a,
+               std::size_t count, const float* bj, std::size_t n, float* cj) {
+    __m256 acc[NV];
+    for (std::size_t v = 0; v < NV; ++v) acc[v] = _mm256_loadu_ps(cj + 8 * v);
+    for (std::size_t t = 0; t < count; ++t) {
+        const __m256 av = _mm256_set1_ps(nz_a[t]);
+        const float* brow = bj + std::size_t{nz_k[t]} * n;
+        for (std::size_t v = 0; v < NV; ++v)
+            acc[v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8 * v), acc[v]);
+    }
+    for (std::size_t v = 0; v < NV; ++v) _mm256_storeu_ps(cj + 8 * v, acc[v]);
+}
+
+/// Single-row kernel: crow[j0, n) += arow * B. Runs row chunks of fewer
+/// than 4 rows, every row when n < 16 (the 128->1 head at any batch), and
+/// the blocked kernel's ragged column tail. It first compacts the row's
+/// nonzero activations into a stack list (post-ReLU rows are about half
+/// zeros, and a per-k zero test mispredicts on them), then walks that list
+/// once per register tile. Every output element takes one FMA per nonzero
+/// k in ascending k, the chain the blocked kernel computes, so a row's bits
+/// do not depend on which kernel ran it. NaN activations stay in the list
+/// (NaN != 0), matching the scalar backend's zero test.
+void gemv_row(const float* arow, const float* b, float* crow, std::size_t k,
+              std::size_t n, std::size_t j0) {
+    std::uint32_t nz_k[kNzChunk];
+    float nz_a[kNzChunk];
+    for (std::size_t k0 = 0; k0 < k; k0 += kNzChunk) {
+        const std::size_t k1 = std::min(k, k0 + kNzChunk);
+        std::size_t count = 0;
+        for (std::size_t kk = k0; kk < k1; ++kk) {
+            const float av = arow[kk];
+            nz_k[count] = static_cast<std::uint32_t>(kk);
+            nz_a[count] = av;
+            count += av != 0.0f ? 1 : 0;  // branch-free: zeros are overwritten
         }
-        for (; j < n; ++j) crow[j] = std::fmaf(av, brow[j], crow[j]);
+        std::size_t j = j0;
+        for (; j + 64 <= n; j += 64)
+            gemv_tile<8>(nz_k, nz_a, count, b + j, n, crow + j);
+        if (n - j >= 32) {
+            gemv_tile<4>(nz_k, nz_a, count, b + j, n, crow + j);
+            j += 32;
+        }
+        if (n - j >= 16) {
+            gemv_tile<2>(nz_k, nz_a, count, b + j, n, crow + j);
+            j += 16;
+        }
+        if (n - j >= 8) {
+            gemv_tile<1>(nz_k, nz_a, count, b + j, n, crow + j);
+            j += 8;
+        }
+        for (; j < n; ++j) {
+            float acc = crow[j];
+            for (std::size_t t = 0; t < count; ++t)
+                acc = std::fmaf(nz_a[t], b[std::size_t{nz_k[t]} * n + j], acc);
+            crow[j] = acc;
+        }
     }
 }
 
@@ -162,11 +213,11 @@ void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
         }
         if (n16 < n)
             for (std::size_t i = r0; i < r1; ++i)
-                matmul_row_tail(a + i * k, b, c + i * n, k, n, n16);
+                gemv_row(a + i * k, b, c + i * n, k, n, n16);
         return;
     }
     for (std::size_t i = r0; i < r1; ++i)
-        matmul_row_tail(a + i * k, b, c + i * n, k, n, 0);
+        gemv_row(a + i * k, b, c + i * n, k, n, 0);
 }
 
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)

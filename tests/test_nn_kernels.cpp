@@ -287,6 +287,100 @@ TEST(KernelParity, Avx2IsBitwiseThreadCountInvariant) {
     }
 }
 
+/// About half the entries zero, like post-ReLU activations, plus one
+/// all-zero row.
+nn::Matrix half_zero_matrix(std::size_t rows, std::size_t cols,
+                            std::uint64_t seed, std::size_t zero_row) {
+    nn::Matrix m = random_matrix(rows, cols, seed);
+    std::mt19937_64 rng(seed ^ 0x5eed);
+    for (float& v : m.data())
+        if (rng() & 1u) v = 0.0f;
+    for (std::size_t j = 0; j < cols; ++j) m.at(zero_row, j) = 0.0f;
+    return m;
+}
+
+/// The chain every avx2 float GEMM path computes for one output element:
+/// one fused multiply-add per nonzero activation, in ascending k.
+/// std::fmaf is correctly rounded, so this is an exact reference.
+float ascending_fma_chain(const nn::Matrix& a, const nn::Matrix& b,
+                          std::size_t i, std::size_t j) {
+    float acc = 0.0f;
+    for (std::size_t kk = 0; kk < a.cols(); ++kk)
+        if (a.at(i, kk) != 0.0f) acc = std::fmaf(a.at(i, kk), b.at(kk, j), acc);
+    return acc;
+}
+
+// Chunks of 1-3 rows, n < 16 and the blocked kernel's column tail run the
+// register-tiled single-row kernel; chunks of 4+ rows run the packed 4x16
+// kernel. A row must come out with the same bits whichever kernel computed
+// it — that is what keeps batch-1 serving outputs equal to batched scoring.
+TEST(KernelParity, Avx2SingleRowGemvMatchesBlockedRowsBitwise) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    const kn::KernelBackend& vx = *kn::avx2_backend();
+
+    struct Shape {
+        std::size_t k, n;
+    };
+    // The paper model's layers, the 2-input fallback model's input layer,
+    // then ragged widths against tiny and multi-chunk depths.
+    std::vector<Shape> shapes = {{66, 128}, {128, 256}, {256, 128}, {128, 1},
+                                 {2, 128}};
+    for (const std::size_t k : {1, 5, 600})
+        for (const std::size_t n : {1, 7, 9, 65}) shapes.push_back({k, n});
+
+    // Nine rows: two 4-row blocks plus the blocked path's leftover row.
+    constexpr std::size_t kRows = 9;
+    std::uint64_t seed = 3100;
+    for (const Shape& s : shapes) {
+        SCOPED_TRACE("k=" + std::to_string(s.k) + " n=" + std::to_string(s.n));
+        const nn::Matrix a = half_zero_matrix(kRows, s.k, seed++, 2);
+        const nn::Matrix b = random_matrix(s.k, s.n, seed++);
+
+        nn::Matrix all(kRows, s.n, 0.0f);
+        vx.matmul_rows(a.data().data(), b.data().data(), all.data().data(),
+                       s.k, s.n, 0, kRows);
+        for (std::size_t i = 0; i < kRows; ++i)
+            for (std::size_t j = 0; j < s.n; ++j)
+                ASSERT_EQ(bits32(all.at(i, j)),
+                          bits32(ascending_fma_chain(a, b, i, j)))
+                    << "row " << i << " col " << j;
+
+        for (std::size_t m = 1; m <= 3; ++m) {
+            for (std::size_t r0 = 0; r0 + m <= kRows; ++r0) {
+                nn::Matrix part(kRows, s.n, 0.0f);
+                vx.matmul_rows(a.data().data(), b.data().data(),
+                               part.data().data(), s.k, s.n, r0, r0 + m);
+                EXPECT_EQ(std::memcmp(&part.at(r0, 0), &all.at(r0, 0),
+                                      m * s.n * sizeof(float)),
+                          0)
+                    << "rows [" << r0 << ", " << r0 + m << ")";
+            }
+        }
+    }
+}
+
+TEST(KernelParity, Avx2BatchOneForwardMatchesBatchedRowsBitwise) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    KernelBackendGuard kguard;
+    ThreadConfigGuard tguard;
+    common::set_execution_config({.threads = 1});
+    ASSERT_TRUE(kn::set_kernel_backend("avx2"));
+
+    std::mt19937_64 rng(21);
+    nn::Mlp net = nn::paper_mlp(66, rng);
+    net.set_training(false);
+    const nn::Matrix x = random_matrix(8, 66, 77, 2.0f);
+    const nn::Matrix batched = net.forward_ws(x, /*cache=*/false);
+    ASSERT_EQ(batched.rows(), 8u);
+
+    nn::Matrix row;
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+        nn::row_block_into(x, i, 1, row);
+        const nn::Matrix& out = net.forward_ws(row, /*cache=*/false);
+        EXPECT_EQ(bits32(out.at(0, 0)), bits32(batched.at(i, 0))) << "row " << i;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fused inference path
 // ---------------------------------------------------------------------------
@@ -413,22 +507,25 @@ TEST(KernelAlloc, WarmFloatForwardAllocatesNothingOnEveryBackend) {
     std::vector<const char*> backends = {"scalar"};
     if (kn::avx2_supported()) backends.push_back("avx2");
     for (const char* backend : backends) {
-        SCOPED_TRACE(backend);
-        ASSERT_TRUE(kn::set_kernel_backend(backend));
-        constexpr std::size_t kBatch = 128;
-        net.reserve_workspace(kBatch);
-        nn::Matrix& block = net.input_buffer();
-        nn::row_block_into(x, 0, kBatch, block);
-        (void)net.forward_ws(block, /*cache=*/false);  // warm
+        // Batch 1 is the serving shape: it runs the single-row kernel.
+        for (const std::size_t batch : {std::size_t{128}, std::size_t{1}}) {
+            SCOPED_TRACE(std::string(backend) + " batch " +
+                         std::to_string(batch));
+            ASSERT_TRUE(kn::set_kernel_backend(backend));
+            net.reserve_workspace(batch);
+            nn::Matrix& block = net.input_buffer();
+            nn::row_block_into(x, 0, batch, block);
+            (void)net.forward_ws(block, /*cache=*/false);  // warm
 
-        alloc::AllocationProbe probe;
-        float sink = 0.0f;
-        for (std::size_t b = 0; b + kBatch <= x.rows(); b += kBatch) {
-            nn::row_block_into(x, b, kBatch, block);
-            sink += net.forward_ws(block, /*cache=*/false).at(0, 0);
+            alloc::AllocationProbe probe;
+            float sink = 0.0f;
+            for (std::size_t b = 0; b + batch <= x.rows(); b += batch) {
+                nn::row_block_into(x, b, batch, block);
+                sink += net.forward_ws(block, /*cache=*/false).at(0, 0);
+            }
+            EXPECT_EQ(probe.delta(), 0u) << backend << " warm forward allocated";
+            EXPECT_TRUE(std::isfinite(sink));
         }
-        EXPECT_EQ(probe.delta(), 0u) << backend << " warm forward allocated";
-        EXPECT_TRUE(std::isfinite(sink));
     }
 }
 

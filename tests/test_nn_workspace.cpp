@@ -13,10 +13,12 @@
 #include <cstring>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/alloc_counter.hpp"
 #include "common/parallel.hpp"
+#include "nn/kernels/backend.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
@@ -77,32 +79,83 @@ constexpr std::uint32_t kGoldenLogits[7] = {
     0xba936700u, 0x3c37b53cu, 0xbf6e713eu};
 constexpr std::uint32_t kGoldenWeightsXor = 0x3c1afaa0u;
 
-TEST(WorkspaceGolden, TrainingBitwiseIdenticalAcrossThreadCounts) {
-    ThreadConfigGuard guard;
+/// Restores the kernel backend on scope exit.
+class KernelBackendGuard {
+public:
+    KernelBackendGuard() : saved_(nn::kernels::active_backend().name) {}
+    ~KernelBackendGuard() { nn::kernels::set_kernel_backend(saved_); }
+
+private:
+    std::string saved_;
+};
+
+/// Bits of one golden training run: per-epoch loss, every 97th logit of the
+/// trained network, and the XOR of all its parameters.
+struct GoldenBits {
+    std::vector<std::uint64_t> epoch_loss;
+    std::vector<std::uint32_t> logits;
+    std::uint32_t weights_xor = 0;
+};
+
+GoldenBits train_golden(std::size_t threads) {
     nn::Matrix x, y;
     make_dataset(x, y);
     const nn::BceWithLogitsLoss loss;
+    common::set_execution_config({.threads = threads});
+
+    std::mt19937_64 rng(9);
+    nn::Mlp net({12, 32, 16, 1}, nn::Init::kKaimingUniform, rng);
+    const nn::TrainHistory h = nn::train(net, x, y, loss, golden_config());
+
+    GoldenBits g;
+    for (const double l : h.epoch_loss) g.epoch_loss.push_back(bits64(l));
+    const nn::Matrix logits = nn::predict(net, x, 256);
+    for (std::size_t i = 0; i < logits.rows(); i += 97)
+        g.logits.push_back(bits32(logits.at(i, 0)));
+    for (nn::ParamView& p : net.parameters())
+        for (const float v : p.values) g.weights_xor ^= bits32(v);
+    return g;
+}
+
+// The constants pin the scalar reference backend (DESIGN.md §16), so the
+// test selects it explicitly: under WIFISENSE_KERNELS=avx2 the FMA GEMMs
+// round differently and these bits do not apply.
+TEST(WorkspaceGolden, TrainingBitwiseIdenticalAcrossThreadCounts) {
+    ThreadConfigGuard guard;
+    KernelBackendGuard kguard;
+    ASSERT_TRUE(nn::kernels::set_kernel_backend("scalar"));
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        common::set_execution_config({.threads = threads});
+        const GoldenBits g = train_golden(threads);
 
-        std::mt19937_64 rng(9);
-        nn::Mlp net({12, 32, 16, 1}, nn::Init::kKaimingUniform, rng);
-        const nn::TrainHistory h = nn::train(net, x, y, loss, golden_config());
-
-        ASSERT_EQ(h.epoch_loss.size(), 3u);
+        ASSERT_EQ(g.epoch_loss.size(), 3u);
         for (std::size_t e = 0; e < 3; ++e)
-            EXPECT_EQ(bits64(h.epoch_loss[e]), kGoldenEpochLoss[e]) << "epoch " << e;
+            EXPECT_EQ(g.epoch_loss[e], kGoldenEpochLoss[e]) << "epoch " << e;
+        ASSERT_EQ(g.logits.size(), 7u);
+        for (std::size_t r = 0; r < 7; ++r)
+            EXPECT_EQ(g.logits[r], kGoldenLogits[r]) << "row " << r * 97;
+        EXPECT_EQ(g.weights_xor, kGoldenWeightsXor);
+    }
+}
 
-        const nn::Matrix logits = nn::predict(net, x, 256);
-        for (std::size_t i = 0, g = 0; i < logits.rows(); i += 97, ++g)
-            EXPECT_EQ(bits32(logits.at(i, 0)), kGoldenLogits[g]) << "row " << i;
+// The avx2 sibling: no pinned constants (FMA rounds differently from the
+// scalar loops), only the same bits at every thread count, so the avx2
+// sanitizer legs still train through the vectorized kernels.
+TEST(WorkspaceGolden, Avx2TrainingBitwiseIdenticalAcrossThreadCounts) {
+    if (!nn::kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    ThreadConfigGuard guard;
+    KernelBackendGuard kguard;
+    ASSERT_TRUE(nn::kernels::set_kernel_backend("avx2"));
 
-        std::uint32_t wx = 0;
-        for (nn::ParamView& p : net.parameters())
-            for (const float v : p.values) wx ^= bits32(v);
-        EXPECT_EQ(wx, kGoldenWeightsXor);
+    const GoldenBits ref = train_golden(1);
+    ASSERT_EQ(ref.epoch_loss.size(), 3u);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const GoldenBits g = train_golden(threads);
+        EXPECT_EQ(g.epoch_loss, ref.epoch_loss);
+        EXPECT_EQ(g.logits, ref.logits);
+        EXPECT_EQ(g.weights_xor, ref.weights_xor);
     }
 }
 

@@ -242,6 +242,70 @@ TEST(TelemetryDecoderDefects, TruncatedTailIsTyped) {
               common::StatusCode::kTruncated);
 }
 
+/// Regression: a frame cut to 307 bytes whose lost CRC byte equals the next
+/// frame's first magic byte (0x57) passes the CRC check by borrowing that
+/// byte. The decoder must report the cut frame as truncated and decode the
+/// intact frame behind it, at any chunking of the stream.
+TEST(TelemetryDecoderDefects, CutFrameBorrowingNextMagicByteIsTruncated) {
+    // Search the sequence number for a frame whose CRC top byte is 0x57.
+    std::vector<std::uint8_t> cut;
+    for (std::uint32_t seq = 0; seq < 100000; ++seq) {
+        data::TelemetryFrame f;
+        f.sequence = seq;
+        f.record = make_record(seq);
+        cut.clear();
+        data::encode_frame(f, cut);
+        if (cut[307] == 0x57) break;
+    }
+    ASSERT_EQ(cut.size(), data::kWireFrameBytes);
+    ASSERT_EQ(cut[307], 0x57);
+    data::TelemetryFrame next;
+    next.sequence = 900001;
+    next.record = make_record(3);
+    std::vector<std::uint8_t> intact;
+    data::encode_frame(next, intact);
+
+    std::vector<std::uint8_t> stream(cut.begin(), cut.begin() + 307);
+    stream.insert(stream.end(), intact.begin(), intact.end());
+
+    for (const std::size_t split : {stream.size(), std::size_t{307}}) {
+        SCOPED_TRACE("first chunk " + std::to_string(split) + " bytes");
+        data::TelemetryDecoder dec;
+        Collector sink;
+        dec.push(std::span<const std::uint8_t>(stream.data(), split), sink);
+        dec.push(std::span<const std::uint8_t>(stream.data() + split,
+                                               stream.size() - split),
+                 sink);
+        dec.finish(sink);
+
+        ASSERT_EQ(sink.frames.size(), 1u);
+        EXPECT_EQ(sink.frames[0].sequence, next.sequence);
+        EXPECT_TRUE(records_equal(sink.frames[0].record, next.record));
+        ASSERT_EQ(sink.defects.size(), 1u);
+        EXPECT_EQ(sink.defects[0].kind, data::FrameDefectKind::kTruncated);
+        EXPECT_EQ(sink.defects[0].detail, 307u);
+        EXPECT_EQ(sink.defects[0].stream_offset, 0u);
+        const data::TelemetryDecoder::Stats& st = dec.stats();
+        EXPECT_EQ(st.truncated, 1u);
+        EXPECT_EQ(st.bytes_skipped, 307u);
+        EXPECT_EQ(st.frames_decoded * data::kWireFrameBytes + st.bytes_skipped,
+                  st.bytes_consumed);
+        EXPECT_EQ(st.bytes_consumed, stream.size());
+    }
+
+    // The same CRC top byte on an intact frame followed by a real frame is
+    // not a cut: both decode.
+    std::vector<std::uint8_t> both = cut;
+    both.insert(both.end(), intact.begin(), intact.end());
+    data::TelemetryDecoder dec;
+    Collector sink;
+    dec.push(both, sink);
+    dec.finish(sink);
+    ASSERT_EQ(sink.frames.size(), 2u);
+    EXPECT_EQ(sink.frames[1].sequence, next.sequence);
+    EXPECT_TRUE(sink.defects.empty());
+}
+
 TEST(TelemetryDecoderDefects, BadLengthAndBadKindAreTyped) {
     for (const bool bad_kind : {true, false}) {
         std::vector<std::uint8_t> bytes = encode_clean(1);

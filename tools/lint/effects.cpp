@@ -276,7 +276,7 @@ bool benign_external(const std::string& name) {
         "setstate", "rdstate", "precision", "width",
         // chrono plumbing (clock-ness is caught via the clock-name tokens,
         // so the conversion helpers themselves are effect-free)
-        "now", "time_since_epoch", "duration_cast", "nanoseconds",
+        "now", "time_since_epoch", "duration", "duration_cast", "nanoseconds",
         "microseconds", "milliseconds", "seconds",
         // builtin-type functional casts: `int(x)`, `std::uint32_t(x)`
         "int", "char", "float", "double", "long", "short", "unsigned",

@@ -146,6 +146,26 @@ char next_code_char(const std::string& code, std::size_t pos, std::size_t* at) {
     return pos < code.size() ? code[pos] : '\0';
 }
 
+/// True when the '<' at `lt` opens an explicit template argument list that
+/// closes on this line and is directly followed by a call paren:
+/// `name<8>(...)`, `name<T, N>(...)`. Only type and constant tokens may sit
+/// inside, so a comparison such as `a < b` does not qualify.
+bool template_args_then_call(const std::string& code, std::size_t lt) {
+    int depth = 0;
+    for (std::size_t i = lt; i < code.size(); ++i) {
+        const char c = code[i];
+        if (c == '<') {
+            ++depth;
+        } else if (c == '>') {
+            if (--depth == 0) return next_code_char(code, i + 1, nullptr) == '(';
+        } else if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+                   c != ':' && c != ',' && c != ' ' && c != '*') {
+            return false;
+        }
+    }
+    return false;
+}
+
 bool is_qualified_std(const std::string& code, std::size_t ident_begin) {
     std::size_t i = ident_begin;
     while (i > 0 && std::isspace(static_cast<unsigned char>(code[i - 1]))) --i;
@@ -236,6 +256,7 @@ bool is_call_keyword(const std::string& t) {
         "static_assert", "typeid", "assert",   "defined",  "operator",
         "co_await",  "co_return", "co_yield",  "throw",    "return",
         "new",       "delete",    "requires",  "explicit", "typename",
+        "static_cast", "const_cast", "reinterpret_cast", "dynamic_cast",
     };
     return kKw.count(t) > 0;
 }
@@ -630,8 +651,8 @@ Classified classify_pending(const std::vector<PTok>& pending) {
                 out.params.push_back({pname, ptype, pelem});
             group.clear();
         };
-        for (std::size_t k = j + 1; k < pending.size(); ++k) {
-            const PTok& t = pending[k];
+        for (std::size_t p = j + 1; p < pending.size(); ++p) {
+            const PTok& t = pending[p];
             if (t.text == "(") {
                 if (++pd == 1) continue;
             } else if (t.text == ")") {
@@ -700,8 +721,10 @@ void index_file(const std::string& path, const std::vector<Line>& lines,
             // Namespace-scope variable: record under the simple name, "?" on
             // a cross-file type conflict (never narrow on ambiguity).
             auto it = tree.global_types.find(fname);
+            // (Assigning a std::string, not the literal: GCC 12 reports a
+            // false -Wrestrict on operator=(const char*) inlined here.)
             if (it != tree.global_types.end() && it->second != ftype)
-                it->second = "?";
+                it->second = std::string("?");
             else
                 tree.global_types[fname] = ftype;
             if (!felem.empty()) tree.global_types[fname + "[]"] = felem;
@@ -865,6 +888,15 @@ void index_file(const std::string& path, const std::vector<Line>& lines,
                                  receiver_of(code, t.begin),
                                  is_qualified_std(code, t.begin)});
                         }
+                    }
+                    // `name<args>(...)`: a call with explicit template
+                    // arguments (the '(' does not follow the name itself).
+                    if (after == '<' && !is_call_keyword(t.text) &&
+                        !all_caps_macro(t.text) &&
+                        template_args_then_call(code, after_at)) {
+                        fn->calls.push_back({t.text, lineno, false,
+                                             receiver_of(code, t.begin),
+                                             is_qualified_std(code, t.begin)});
                     }
                     // Local lambda binding: `auto NAME = [`.
                     if (last_ident == "auto" && after == '=' &&
