@@ -21,16 +21,15 @@
 // instrumented library code.
 //
 // Besides its stdout tables, every bench records machine-readable results in
-// BENCH_<name>.json (wall clock, thread count, rows, key metrics, plus
-// aggregated per-span timings and the metric registry when enabled) via
-// BenchReport — the input of the repo's performance trajectory.
+// BENCH_<name>.json (wall clock, thread count, rows, key metrics, plus the
+// metric registry when enabled) via BenchReport — the input of the CI
+// baseline comparison (tools/bench_compare.py).
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -171,7 +170,6 @@ public:
         std::fprintf(f, "  \"kernel_backend\": \"%s\",\n",
                      kernel_backend_.c_str());
         std::fprintf(f, "  \"cpu_features\": \"%s\",\n", cpu_features_.c_str());
-        write_spans(f);
         write_metric_registry(f);
         std::fprintf(f, "  \"metrics\": {");
         for (std::size_t i = 0; i < metrics_.size(); ++i)
@@ -185,34 +183,6 @@ public:
     }
 
 private:
-    /// "spans": per-name {count, total_s} aggregated from the trace rings —
-    /// the cross-commit wall-clock trend input of bench_compare.py --trend.
-    void write_spans(std::FILE* f) const {
-        if (!common::trace_enabled()) return;
-        struct Agg {
-            std::uint64_t count = 0;
-            std::uint64_t total_ns = 0;
-        };
-        std::map<std::string, Agg> agg;  // sorted => deterministic output
-        for (const common::TraceEvent& e : common::trace_snapshot()) {
-            if (e.instant) continue;
-            Agg& a = agg[e.name];
-            ++a.count;
-            a.total_ns += e.end_ns - e.start_ns;
-        }
-        if (agg.empty()) return;
-        std::fprintf(f, "  \"spans\": {");
-        bool first = true;
-        for (const auto& [span_name, a] : agg) {
-            std::fprintf(f, "%s\n    \"%s\": {\"count\": %llu, \"total_s\": %.6f}",
-                         first ? "" : ",", span_name.c_str(),
-                         static_cast<unsigned long long>(a.count),
-                         static_cast<double>(a.total_ns) * 1e-9);
-            first = false;
-        }
-        std::fprintf(f, "\n  },\n");
-    }
-
     /// "observability": the full metric registry (counters/gauges/histograms).
     void write_metric_registry(std::FILE* f) const {
         if (!common::metrics_enabled()) return;

@@ -3,13 +3,15 @@
 // fused for training; at evaluation time every surviving link's records run
 // the full telemetry wire path — LinkEncoder framing, TelemetryDecoder,
 // LinkReassembler — before fusion, so the curve measures the deployed
-// pipeline, not an idealized one. Levels kill 0 / 1 / 2 / 3 of the 4 links
+// pipeline, not an idealized one. Levels kill 3 / 2 / 1 / 0 of the 4 links
 // (highest ids first; link 0 is the paper's receiver), walking the fusion
-// ladder from kFullFusion down to kSingleLink.
+// ladder from kSingleLink up to kFullFusion.
 //
-// Hard invariant (exit 1 on violation): full-fusion accuracy is at least
-// single-link accuracy — fusing four independent looks at the room must not
-// be worse than the best the paper's single receiver does alone.
+// Hard invariants (exit 1 on violation): every fused frame carries the
+// record of its own instant (frames are joined by sequence number), and on
+// a clean wire full-fusion accuracy is at least single-link accuracy —
+// fusing four independent looks at the room must not be worse than the
+// best the paper's single receiver does alone.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -43,6 +45,8 @@ struct LevelResult {
     double single_frac = 0.0;
     double other_frac = 0.0;  ///< env-only + stale-hold
     std::uint64_t frames_decoded = 0;
+    /// Fused frames whose record belongs to another instant (must be 0).
+    std::uint64_t misaligned = 0;
 };
 
 /// Run fold rows [base, base+n) of each alive link through the wire
@@ -56,8 +60,10 @@ LevelResult evaluate_links_down(
     using namespace wifisense;
     LevelResult r;
 
-    // Wire round-trip per alive link. With no fault plan the stream is clean,
-    // so every frame survives and comes back in sequence order.
+    // Wire round-trip per alive link. Frames are joined to instants by
+    // sequence number (the encoder numbers the fold rows 0..n-1), so a frame
+    // lost to an outage or a CRC failure leaves a hole at its own instant
+    // instead of shifting the link's later frames.
     std::vector<std::vector<data::TelemetryFrame>> frames(alive);
     for (std::size_t l = 0; l < alive; ++l) {
         data::LinkEncoder enc(static_cast<std::uint8_t>(l), /*channel=*/6,
@@ -89,15 +95,23 @@ LevelResult evaluate_links_down(
         reasm.flush(ordered);
     }
 
+    std::vector<std::vector<const data::TelemetryFrame*>> by_seq(
+        alive, std::vector<const data::TelemetryFrame*>(n, nullptr));
+    for (std::size_t l = 0; l < alive; ++l)
+        for (const data::TelemetryFrame& f : frames[l])
+            if (f.sequence < n) by_seq[l][f.sequence] = &f;
+
     std::uint64_t correct = 0;
     std::vector<core::LinkFrame> obs_links(kLinks);
     for (std::size_t i = 0; i < n; ++i) {
         const data::SampleRecord& ref = links[0][base + i];
         for (std::size_t l = 0; l < kLinks; ++l) {
             obs_links[l] = core::LinkFrame{};
-            if (l < alive && i < frames[l].size()) {
+            const data::TelemetryFrame* f = l < alive ? by_seq[l][i] : nullptr;
+            if (f != nullptr) {
                 obs_links[l].present = true;
-                obs_links[l].csi = frames[l][i].record.csi;
+                obs_links[l].csi = f->record.csi;
+                if (f->record.timestamp != ref.timestamp) ++r.misaligned;
             }
         }
         core::MultiLinkObservation obs;
@@ -202,13 +216,19 @@ int main(int argc, char** argv) {
     report.metric("train_s", common::trace_seconds_since(t0));
 
     double acc[kLinks] = {0.0, 0.0, 0.0, 0.0};
+    std::uint64_t misaligned = 0;
     std::printf("links-down  alive  accuracy   full    subset  single  other\n");
-    for (std::size_t down = 0; down < kLinks; ++down) {
-        const std::size_t alive = kLinks - down;
+    // Levels run from one link up to all four. reset_stream() makes them
+    // independent, so the order moves no number; it only decides what the
+    // flight recorder keeps: under --fault-plan the last level (every link,
+    // real outages) walks full -> subset -> single inside the exported tail.
+    for (std::size_t alive = 1; alive <= kLinks; ++alive) {
+        const std::size_t down = kLinks - alive;
         det.reset_stream();
         const LevelResult r = evaluate_links_down(
             det, links, base, n, alive, faults.active() ? &faults : nullptr);
         acc[down] = r.accuracy_pct;
+        misaligned += r.misaligned;
         std::printf("%9zu  %5zu  %7.2f%%  %5.1f%%  %5.1f%%  %5.1f%%  %5.1f%%\n",
                     down, alive, r.accuracy_pct, 100.0 * r.full_frac,
                     100.0 * r.subset_frac, 100.0 * r.single_frac,
@@ -228,6 +248,13 @@ int main(int argc, char** argv) {
 
     report.write();
 
+    if (misaligned > 0) {
+        std::fprintf(stderr,
+                     "FAIL: %llu fused frames carry a record from another "
+                     "instant — frames must be joined by sequence number\n",
+                     static_cast<unsigned long long>(misaligned));
+        return 1;
+    }
     // The ordering invariant is a clean-wire property; an injected fault plan
     // degrades tiers non-uniformly, so the gate applies to default runs only.
     if (!faults.active() && acc[0] < acc[kLinks - 1]) {

@@ -10,11 +10,9 @@
 
 namespace wifisense::common {
 
-#if WIFISENSE_TRACE_COMPILED
 namespace obsdetail {
 std::atomic<bool> g_metrics_enabled{false};
 }  // namespace obsdetail
-#endif
 
 namespace {
 
@@ -68,15 +66,11 @@ void Histogram::reset() {
 }
 
 void metrics_enable() {
-#if WIFISENSE_TRACE_COMPILED
     obsdetail::g_metrics_enabled.store(true, std::memory_order_release);
-#endif
 }
 
 void metrics_disable() {
-#if WIFISENSE_TRACE_COMPILED
     obsdetail::g_metrics_enabled.store(false, std::memory_order_relaxed);
-#endif
 }
 
 void metrics_reset() {

@@ -30,25 +30,18 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "common/trace.hpp"  // WIFISENSE_TRACE_COMPILED gate
 
 namespace wifisense::common {
 
 namespace obsdetail {
-#if WIFISENSE_TRACE_COMPILED
 extern std::atomic<bool> g_metrics_enabled;
-#endif
 }  // namespace obsdetail
 
-#if WIFISENSE_TRACE_COMPILED
 /// True while metric recording is live (the relaxed load is the entire
 /// disabled-path cost of add/set/observe).
 inline bool metrics_enabled() {
     return obsdetail::g_metrics_enabled.load(std::memory_order_relaxed);
 }
-#else
-inline bool metrics_enabled() { return false; }
-#endif
 
 void metrics_enable();
 void metrics_disable();

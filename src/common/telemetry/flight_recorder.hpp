@@ -9,15 +9,15 @@
 // string pointers (category + label: string literals only, mirroring the
 // trace-span contract), a stream timestamp, and two numeric payloads.
 //
-// The memory model is common/trace.cpp's: rings and the thread-slot table
-// are sized once at flight_enable() time; recording acquires a per-thread
-// slot via one atomic increment, then writes slots[head & (capacity-1)].
-// A full ring wraps (oldest events drop, counted), recording never
-// allocates or blocks. Unlike the trace recorder there is NO clock read:
-// ordering comes from a global atomic sequence counter and the caller's
-// stream time, so record() holds the full `requires(noalloc, noexcept,
-// noclock, det)` contract and is callable from the wire-decoder and
-// reassembler hot paths whose lint roots forbid clock reads outright.
+// The rings are the span tracer's (common/telemetry/event_ring.hpp): sized
+// once at flight_enable() time; recording acquires a per-thread slot via
+// one atomic increment, then writes slots[head & (capacity-1)]. A full
+// ring wraps (oldest events drop, counted), recording never allocates or
+// blocks. Unlike the trace recorder there is NO clock read: ordering comes
+// from a global atomic sequence counter and the caller's stream time, so
+// record() holds the full `requires(noalloc, noexcept, noclock, det)`
+// contract and is callable from the wire-decoder and reassembler hot paths
+// whose lint roots forbid clock reads outright.
 //
 // Disabled cost: one relaxed atomic load and a branch.
 #pragma once

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "common/metrics.hpp"
+#include "common/telemetry/event_ring.hpp"
 #include "common/telemetry/flight_recorder.hpp"
 
 namespace wifisense::common {
@@ -25,93 +26,9 @@ double trace_seconds_since(std::uint64_t start_ns) {
     return now >= start_ns ? static_cast<double>(now - start_ns) * 1e-9 : 0.0;
 }
 
-#if WIFISENSE_TRACE_COMPILED
-
 namespace obsdetail {
 std::atomic<bool> g_trace_enabled{false};
 }  // namespace obsdetail
-
-namespace {
-
-std::size_t round_up_pow2(std::size_t v) {
-    std::size_t p = 1;
-    while (p < v && p < (std::size_t{1} << 30)) p <<= 1;
-    return p;
-}
-
-/// One thread's event storage: a fixed-capacity ring indexed by a monotonic
-/// head counter. `slots` is sized once at enable time; recording writes
-/// slots[head & mask] and never allocates.
-struct ThreadRing {
-    std::vector<TraceEvent> slots;
-    std::uint64_t head = 0;     ///< total events ever written to this ring
-    std::uint64_t seen = 0;     ///< events offered (sampling counter)
-    std::uint64_t skipped = 0;  ///< events sampled out (policy, not loss)
-};
-
-/// All tracing state of one enable() session. Guarded informally: enable /
-/// reset / snapshot must run outside parallel regions (documented contract);
-/// recording itself is wait-free per thread.
-struct TraceState {
-    std::size_t capacity = 0;      ///< power of two
-    std::size_t sample_every = 1;  ///< record every N-th event per thread
-    std::vector<ThreadRing> rings;
-    std::atomic<std::size_t> next_slot{0};
-    std::atomic<std::uint64_t> slot_overflow{0};
-};
-
-TraceState& state() {
-    static TraceState s;
-    return s;
-}
-
-/// Bumped on every enable()/reset() so threads re-acquire their slot.
-std::atomic<std::uint64_t> g_epoch{0};
-
-struct TlSlot {
-    std::uint64_t epoch = 0;
-    ThreadRing* ring = nullptr;
-};
-thread_local TlSlot tl_slot;
-
-/// The calling thread's ring for the current session, acquiring a slot on
-/// first use (atomic increment into the pre-reserved table — no allocation).
-ThreadRing* local_ring() {
-    const std::uint64_t epoch = g_epoch.load(std::memory_order_acquire);
-    if (tl_slot.epoch != epoch) {
-        tl_slot.epoch = epoch;
-        TraceState& s = state();
-        const std::size_t idx = s.next_slot.fetch_add(1, std::memory_order_relaxed);
-        if (idx < s.rings.size()) {
-            tl_slot.ring = &s.rings[idx];
-        } else {
-            tl_slot.ring = nullptr;
-            s.slot_overflow.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    return tl_slot.ring;
-}
-
-void record_event(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
-                  bool instant) {
-    if (!obsdetail::g_trace_enabled.load(std::memory_order_relaxed)) return;
-    ThreadRing* ring = local_ring();
-    if (ring == nullptr) return;
-    TraceState& s = state();
-    // 1-in-N sampling: each thread keeps the first of every `sample_every`
-    // events it offers (per-thread counter — no cross-thread coordination).
-    if (s.sample_every > 1 && (ring->seen++ % s.sample_every) != 0) {
-        ++ring->skipped;
-        return;
-    }
-    TraceEvent& e = ring->slots[ring->head & (s.capacity - 1)];
-    e.name = name;
-    e.start_ns = start_ns;
-    e.end_ns = end_ns;
-    e.tid = static_cast<std::uint32_t>(ring - s.rings.data());
-    e.instant = instant;
-    ++ring->head;
-}
 
 void append_json_escaped(std::string& out, const char* text) {
     for (const char* p = text; *p != '\0'; ++p) {
@@ -129,6 +46,23 @@ void append_json_escaped(std::string& out, const char* text) {
     }
 }
 
+namespace {
+
+/// The span rings of the current trace session (the stamp — clock reads —
+/// happens in TraceScope; this file only stores and exports).
+constinit EventRing<TraceEvent> g_span_ring;
+
+void record_event(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
+                  bool instant) {
+    if (!trace_enabled()) return;
+    TraceEvent* e = g_span_ring.claim();
+    if (e == nullptr) return;
+    e->name = name;
+    e->start_ns = start_ns;
+    e->end_ns = end_ns;
+    e->instant = instant;
+}
+
 }  // namespace
 
 namespace obsdetail {
@@ -144,16 +78,9 @@ void record_instant(const char* name, std::uint64_t t_ns) {
 }  // namespace obsdetail
 
 void trace_enable(const TraceConfig& cfg) {
-    TraceState& s = state();
     obsdetail::g_trace_enabled.store(false, std::memory_order_relaxed);
-    s.capacity = round_up_pow2(std::max<std::size_t>(cfg.events_per_thread, 64));
-    s.sample_every = std::max<std::size_t>(cfg.sample_every, 1);
-    const std::size_t threads = std::max<std::size_t>(cfg.max_threads, 1);
-    s.rings.assign(threads, ThreadRing{});
-    for (ThreadRing& r : s.rings) r.slots.assign(s.capacity, TraceEvent{});
-    s.next_slot.store(0, std::memory_order_relaxed);
-    s.slot_overflow.store(0, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_release);
+    g_span_ring.enable(std::max<std::size_t>(cfg.events_per_thread, 64),
+                  cfg.max_threads, cfg.sample_every);
     obsdetail::g_trace_enabled.store(true, std::memory_order_release);
 }
 
@@ -162,48 +89,17 @@ void trace_disable() {
 }
 
 void trace_reset() {
-    TraceState& s = state();
-    const bool was_enabled =
-        obsdetail::g_trace_enabled.load(std::memory_order_relaxed);
+    const bool was_enabled = trace_enabled();
     obsdetail::g_trace_enabled.store(false, std::memory_order_relaxed);
-    for (ThreadRing& r : s.rings) {
-        r.head = 0;
-        r.seen = 0;
-        r.skipped = 0;
-    }
-    s.next_slot.store(0, std::memory_order_relaxed);
-    s.slot_overflow.store(0, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_release);
+    g_span_ring.reset();
     obsdetail::g_trace_enabled.store(was_enabled, std::memory_order_release);
 }
 
-std::vector<TraceEvent> trace_snapshot() {
-    TraceState& s = state();
-    std::vector<TraceEvent> out;
-    if (s.capacity == 0) return out;
-    for (const ThreadRing& r : s.rings) {
-        const std::uint64_t kept = std::min<std::uint64_t>(r.head, s.capacity);
-        const std::uint64_t first = r.head - kept;
-        for (std::uint64_t i = first; i < r.head; ++i)
-            out.push_back(r.slots[i & (s.capacity - 1)]);
-    }
-    return out;
-}
+std::vector<TraceEvent> trace_snapshot() { return g_span_ring.snapshot(); }
 
-std::uint64_t trace_dropped_events() {
-    TraceState& s = state();
-    std::uint64_t dropped = s.slot_overflow.load(std::memory_order_relaxed);
-    for (const ThreadRing& r : s.rings)
-        if (r.head > s.capacity) dropped += r.head - s.capacity;
-    return dropped;
-}
+std::uint64_t trace_dropped_events() { return g_span_ring.dropped(); }
 
-std::uint64_t trace_sampled_out() {
-    TraceState& s = state();
-    std::uint64_t skipped = 0;
-    for (const ThreadRing& r : s.rings) skipped += r.skipped;
-    return skipped;
-}
+std::uint64_t trace_sampled_out() { return g_span_ring.sampled_out(); }
 
 std::string trace_to_chrome_json() {
     std::vector<TraceEvent> events = trace_snapshot();
@@ -248,25 +144,6 @@ std::string trace_to_chrome_json() {
     out += "],\"displayTimeUnit\":\"ms\"}\n";
     return out;
 }
-
-#else  // WIFISENSE_TRACE_COMPILED == 0
-
-namespace obsdetail {
-void record_span(const char*, std::uint64_t, std::uint64_t) {}
-void record_instant(const char*, std::uint64_t) {}
-}  // namespace obsdetail
-
-void trace_enable(const TraceConfig&) {}
-void trace_disable() {}
-void trace_reset() {}
-std::vector<TraceEvent> trace_snapshot() { return {}; }
-std::uint64_t trace_dropped_events() { return 0; }
-std::uint64_t trace_sampled_out() { return 0; }
-std::string trace_to_chrome_json() {
-    return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-#endif  // WIFISENSE_TRACE_COMPILED
 
 [[nodiscard]] Status write_chrome_trace(const std::string& path) {
     const std::string json = trace_to_chrome_json();

@@ -8,8 +8,7 @@
 // lint-visible choke point that is guaranteed to never influence computed
 // outputs.
 //
-// On top of the clock sits a compile-time- and runtime-gated span recorder
-// (see DESIGN.md §14):
+// On top of the clock sits a runtime-gated span recorder (see DESIGN.md §14):
 //
 //   - `TraceScope s("train.step");` records a begin/end pair into a
 //     pre-reserved per-thread ring buffer. Disabled cost: one relaxed atomic
@@ -18,7 +17,8 @@
 //   - Ring buffers (and the thread-slot table) are sized once at
 //     trace_enable() time; recording a span is a clock read plus a slot
 //     write. A full ring wraps (oldest events are dropped and counted),
-//     never grows.
+//     never grows. The rings are common/telemetry/event_ring.hpp, shared
+//     with the flight recorder.
 //   - Span names must be string literals (or otherwise outlive the trace
 //     session): only the pointer is stored.
 //   - Worker threads of the common/parallel.hpp pool record their chunk
@@ -32,10 +32,6 @@
 //
 // Export is Chrome-trace JSON ("traceEvents" complete events), loadable in
 // chrome://tracing or https://ui.perfetto.dev.
-//
-// Building with -DWIFISENSE_TRACE_COMPILED=0 (CMake: -DWIFISENSE_TRACING=OFF)
-// compiles every recording call down to nothing; the clock itself stays
-// available (benches always need it).
 #pragma once
 
 #include <atomic>
@@ -45,15 +41,11 @@
 
 #include "common/status.hpp"
 
-#ifndef WIFISENSE_TRACE_COMPILED
-#define WIFISENSE_TRACE_COMPILED 1
-#endif
-
 namespace wifisense::common {
 
 /// Monotonic nanoseconds since an arbitrary epoch — the tree's only
 /// sanctioned wall-clock read (see file comment). Always available, even
-/// when tracing is compiled out or disabled.
+/// when tracing is disabled.
 std::uint64_t trace_now_ns();
 
 /// Seconds elapsed since a `trace_now_ns()` reading.
@@ -116,16 +108,12 @@ std::string trace_to_chrome_json();
 
 namespace obsdetail {
 
-#if WIFISENSE_TRACE_COMPILED
 extern std::atomic<bool> g_trace_enabled;
-#endif
 
 void record_span(const char* name, std::uint64_t start_ns, std::uint64_t end_ns);
 void record_instant(const char* name, std::uint64_t t_ns);
 
 }  // namespace obsdetail
-
-#if WIFISENSE_TRACE_COMPILED
 
 /// True while span recording is live. The relaxed load is the entire
 /// disabled-path cost of a TraceScope.
@@ -160,21 +148,6 @@ private:
 inline void trace_instant(const char* name) {
     if (trace_enabled()) obsdetail::record_instant(name, trace_now_ns());
 }
-
-#else  // WIFISENSE_TRACE_COMPILED == 0: recording compiles to nothing.
-
-inline bool trace_enabled() { return false; }
-
-class TraceScope {
-public:
-    explicit TraceScope(const char*) {}
-    TraceScope(const TraceScope&) = delete;
-    TraceScope& operator=(const TraceScope&) = delete;
-};
-
-inline void trace_instant(const char*) {}
-
-#endif  // WIFISENSE_TRACE_COMPILED
 
 /// What configure_observability_from_env() found and enabled.
 struct ObservabilityEnv {

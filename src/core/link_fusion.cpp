@@ -12,8 +12,8 @@ namespace wifisense::core {
 
 namespace {
 
-/// Flight-recorder label for a tier: string literals, so recording stays
-/// allocation-free (to_string below returns std::string and is export-only).
+/// The one label table for FusionTier: string literals, so flight recording
+/// stays allocation-free (to_string below wraps it for export).
 const char* tier_label(FusionTier tier) {
     switch (tier) {
         case FusionTier::kFullFusion: return "full-fusion";
@@ -67,16 +67,7 @@ double uniform01(std::uint64_t v) {
 
 }  // namespace
 
-std::string to_string(FusionTier tier) {
-    switch (tier) {
-        case FusionTier::kFullFusion: return "full-fusion";
-        case FusionTier::kSubsetFusion: return "subset-fusion";
-        case FusionTier::kSingleLink: return "single-link";
-        case FusionTier::kEnvOnly: return "env-only";
-        case FusionTier::kStaleHold: return "stale-hold";
-    }
-    return "unknown";
-}
+std::string to_string(FusionTier tier) { return tier_label(tier); }
 
 MultiLinkDetector::MultiLinkDetector(MultiLinkConfig cfg)
     : cfg_(cfg),

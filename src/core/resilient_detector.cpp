@@ -14,6 +14,21 @@ namespace wifisense::core {
 
 namespace {
 
+/// The one label table for DetectorMode: string literals, so the flight
+/// recorder can store them without allocating (to_string wraps it).
+const char* mode_label(DetectorMode mode) {
+    switch (mode) {
+        case DetectorMode::kFull: return "full";
+        case DetectorMode::kEnvOnly: return "env_only";
+        case DetectorMode::kStaleHold: return "stale_hold";
+    }
+    return "unknown";
+}
+
+/// CSI repair follows the validator's defaults (5 s donor age, at most half
+/// the subcarriers bad).
+constexpr data::ValidationPolicy kCsiRepair{};
+
 /// Observability hook for a degradation-state change: one instant event on
 /// the trace timeline (named after the new mode), a per-target-mode
 /// transition counter, and a flight-recorder event carrying the stream time
@@ -24,19 +39,17 @@ void note_mode_transition(DetectorMode mode, double t) {
         case DetectorMode::kFull:
             common::trace_instant("resilient.to_full");
             common::obs_counter("resilient.transitions_to_full").add(1);
-            common::flight_record("mode", "full", t, 0.0);
             break;
         case DetectorMode::kEnvOnly:
             common::trace_instant("resilient.to_env_only");
             common::obs_counter("resilient.transitions_to_env_only").add(1);
-            common::flight_record("mode", "env_only", t, 1.0);
             break;
         case DetectorMode::kStaleHold:
             common::trace_instant("resilient.to_stale_hold");
             common::obs_counter("resilient.transitions_to_stale_hold").add(1);
-            common::flight_record("mode", "stale_hold", t, 2.0);
             break;
     }
+    common::flight_record("mode", mode_label(mode), t, static_cast<double>(mode));
 }
 
 /// Observability hook for one model inference: microsecond latency feeds the
@@ -74,14 +87,7 @@ Observation Observation::from_record(const data::SampleRecord& r) {
     return o;
 }
 
-std::string to_string(DetectorMode mode) {
-    switch (mode) {
-        case DetectorMode::kFull: return "full";
-        case DetectorMode::kEnvOnly: return "env_only";
-        case DetectorMode::kStaleHold: return "stale_hold";
-    }
-    return "unknown";
-}
+std::string to_string(DetectorMode mode) { return mode_label(mode); }
 
 ResilientDetector::ResilientDetector(ResilientConfig cfg)
     : cfg_(cfg),
@@ -99,26 +105,19 @@ ResilientDetector::ResilientDetector(ResilientConfig cfg)
       env_health_(cfg.env_health) {
     if (cfg_.csi_health_floor < 0.0 || cfg_.csi_health_floor > 1.0)
         throw std::invalid_argument("ResilientDetector: health floor outside [0,1]");
-    if (cfg_.retry_backoff_initial_s <= 0.0 || cfg_.retry_backoff_mult < 1.0 ||
-        cfg_.retry_backoff_max_s < cfg_.retry_backoff_initial_s)
-        throw std::invalid_argument("ResilientDetector: bad backoff parameters");
     if (cfg_.stale_confidence_tau_s <= 0.0)
         throw std::invalid_argument("ResilientDetector: non-positive stale tau");
-    current_backoff_s_ = cfg_.retry_backoff_initial_s;
 }
 
 void ResilientDetector::reset_stream() {
     csi_health_.reset();
     env_health_.reset();
     stats_ = ResilienceStats{};
-    has_last_csi_ = false;
+    csi_donor_.valid = false;
     has_last_env_ = false;
     has_last_decision_ = false;
     last_decision_p_ = 0.5;
     has_prev_mode_ = false;
-    csi_down_ = false;
-    next_retry_t_ = 0.0;
-    current_backoff_s_ = cfg_.retry_backoff_initial_s;
 }
 
 nn::TrainHistory ResilientDetector::fit(const data::DatasetView& train) {
@@ -126,36 +125,6 @@ nn::TrainHistory ResilientDetector::fit(const data::DatasetView& train) {
     fallback_.fit(train);
     fitted_ = true;
     return history;
-}
-
-// wifisense-lint: allow-call(reconnect_hook_) user-supplied probe; documented contract (resilient_detector.hpp) requires it to be non-allocating and non-throwing
-void ResilientDetector::update_reconnect(double t, bool csi_usable) {
-    if (csi_usable) {
-        if (csi_down_) ++stats_.reconnects;
-        csi_down_ = false;
-        current_backoff_s_ = cfg_.retry_backoff_initial_s;
-        return;
-    }
-    if (!csi_down_) {
-        // Stream just went down: schedule the first retry.
-        csi_down_ = true;
-        current_backoff_s_ = cfg_.retry_backoff_initial_s;
-        next_retry_t_ = t + current_backoff_s_;
-        return;
-    }
-    if (t >= next_retry_t_) {
-        ++stats_.reconnect_attempts;
-        const bool back = reconnect_hook_ && reconnect_hook_();
-        if (back) {
-            // The link answered; the next usable frame resets the state.
-            current_backoff_s_ = cfg_.retry_backoff_initial_s;
-            next_retry_t_ = t + current_backoff_s_;
-        } else {
-            current_backoff_s_ = std::min(current_backoff_s_ * cfg_.retry_backoff_mult,
-                                          cfg_.retry_backoff_max_s);
-            next_retry_t_ = t + current_backoff_s_;
-        }
-    }
 }
 
 // wifisense-lint: requires(noalloc, noexcept)
@@ -169,42 +138,23 @@ DetectorDecision ResilientDetector::process(const Observation& obs) {
     const double t = obs.timestamp;
 
     // ---- CSI triage: raw -> (maybe) repaired -> usable frame. --------------
-    std::array<float, data::kNumSubcarriers> frame{};
+    std::array<float, data::kNumSubcarriers> frame = obs.csi;
     bool csi_usable = false;
     bool csi_repaired = false;
     if (obs.has_csi) {
         std::size_t bad = 0;
-        for (const float a : obs.csi)
+        for (const float a : frame)
             if (!std::isfinite(a)) ++bad;
-        if (bad == 0) {
-            frame = obs.csi;
-            csi_usable = true;
-        } else {
-            const bool donor_fresh =
-                has_last_csi_ && t - last_csi_t_ <= cfg_.csi_staleness_budget_s;
-            const bool repairable =
-                (double)bad <= cfg_.max_bad_subcarrier_fraction *
-                                   (double)data::kNumSubcarriers;
-            if (donor_fresh && repairable) {
-                frame = obs.csi;
-                for (std::size_t i = 0; i < frame.size(); ++i) {
-                    if (!std::isfinite(frame[i])) {
-                        frame[i] = last_csi_[i];
-                        ++stats_.csi_values_imputed;
-                    }
-                }
-                csi_usable = true;
-                csi_repaired = true;
-                ++stats_.csi_frames_repaired;
-            }
+        csi_usable =
+            data::forward_fill_csi(frame, bad, t, csi_donor_, kCsiRepair);
+        if (csi_usable && bad > 0) {
+            csi_repaired = true;
+            ++stats_.csi_frames_repaired;
+            stats_.csi_values_imputed += bad;
         }
     }
     csi_health_.observe(t, csi_usable);
-    if (csi_usable) {
-        last_csi_ = frame;
-        last_csi_t_ = t;
-        has_last_csi_ = true;
-    }
+    if (csi_usable) csi_donor_ = data::CsiDonor{true, t, frame};
 
     // ---- Env triage: fresh reading, else forward-hold within budget. -------
     bool env_fresh = obs.has_env && env_finite(obs.temperature_c, obs.humidity_pct);
@@ -225,8 +175,6 @@ DetectorDecision ResilientDetector::process(const Observation& obs) {
         env_usable = true;
         ++stats_.env_ticks_held;
     }
-
-    update_reconnect(t, csi_usable);
 
     // ---- Mode policy. ------------------------------------------------------
     DetectorDecision d;

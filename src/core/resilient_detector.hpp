@@ -18,19 +18,17 @@
 //
 // Contract: once fitted, process() never throws on data content and never
 // emits NaN/Inf — under 100% CSI loss it reports degraded health and keeps
-// producing finite, clamped probabilities. A bounded exponential backoff
-// schedules reconnect attempts (optionally driven through a caller hook)
-// while the CSI stream is down.
+// producing finite, clamped probabilities.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "core/occupancy_detector.hpp"
 #include "core/stream_health.hpp"
 #include "data/record.hpp"
+#include "data/record_validator.hpp"
 
 namespace wifisense::core {
 
@@ -85,24 +83,16 @@ struct ResilientConfig {
     /// training distribution never covered).
     double csi_health_floor = 0.5;
 
-    /// Per-subcarrier repair: NaN/Inf amplitudes are imputed from the last
-    /// good frame when it is at most this old.
-    double csi_staleness_budget_s = 5.0;
-    /// A frame with more than this fraction of bad subcarriers is discarded
-    /// rather than repaired.
-    double max_bad_subcarrier_fraction = 0.5;
+    // Per-subcarrier repair (NaN/Inf amplitudes imputed from the last
+    // usable frame) follows the data::ValidationPolicy defaults: a 5 s
+    // staleness budget and at most half the subcarriers bad.
+
     /// Env readings are forward-held up to this age (temperature/humidity
     /// move on minute scales, so the budget is generous).
     double env_staleness_budget_s = 120.0;
 
     /// kStaleHold confidence decay time constant.
     double stale_confidence_tau_s = 60.0;
-
-    /// Reconnect scheduling while the CSI stream is down: first retry after
-    /// `retry_backoff_initial_s`, doubling (mult) up to the cap.
-    double retry_backoff_initial_s = 1.0;
-    double retry_backoff_mult = 2.0;
-    double retry_backoff_max_s = 60.0;
 };
 
 /// Counters over the lifetime of the processed stream.
@@ -114,8 +104,6 @@ struct ResilienceStats {
     std::uint64_t csi_frames_repaired = 0;
     std::uint64_t csi_values_imputed = 0;
     std::uint64_t env_ticks_held = 0;
-    std::uint64_t reconnect_attempts = 0;
-    std::uint64_t reconnects = 0;
 };
 
 class ResilientDetector {
@@ -131,15 +119,9 @@ public:
     /// std::logic_error when unfitted).
     DetectorDecision process(const Observation& obs);
 
-    /// Optional reconnect hook, called (at backoff-scheduled instants) while
-    /// the CSI stream is down; return true when the link came back. Without
-    /// a hook, attempts are still scheduled and counted — the simulator's
-    /// fault plan decides when frames reappear.
-    void set_reconnect_hook(std::function<bool()> hook) { reconnect_hook_ = std::move(hook); }
-
     /// Forget all stream state (health trackers, forward-fill donors, held
-    /// decision, backoff schedule) and zero the counters, keeping the
-    /// trained models. Use between independent evaluation streams.
+    /// decision) and zero the counters, keeping the trained models. Use
+    /// between independent evaluation streams.
     void reset_stream();
 
     const ResilienceStats& stats() const { return stats_; }
@@ -159,9 +141,7 @@ private:
     ResilienceStats stats_;
 
     // Forward-fill state.
-    bool has_last_csi_ = false;
-    double last_csi_t_ = 0.0;
-    std::array<float, data::kNumSubcarriers> last_csi_{};
+    data::CsiDonor csi_donor_;
     bool has_last_env_ = false;
     double last_env_t_ = 0.0;
     float last_temp_ = 0.0f;
@@ -176,15 +156,6 @@ private:
     // (common/trace.hpp instants + transition counters; never decision-bearing).
     bool has_prev_mode_ = false;
     DetectorMode prev_mode_ = DetectorMode::kFull;
-
-    // Reconnect backoff.
-    bool csi_down_ = false;
-    double next_retry_t_ = 0.0;
-    double current_backoff_s_ = 0.0;
-
-    std::function<bool()> reconnect_hook_;
-
-    void update_reconnect(double t, bool csi_usable);
 };
 
 }  // namespace wifisense::core

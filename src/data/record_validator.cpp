@@ -17,6 +17,19 @@ bool env_value_ok(float v, double lo, double hi) {
 
 }  // namespace
 
+bool forward_fill_csi(std::array<float, kNumSubcarriers>& csi, std::size_t bad,
+                      double t, const CsiDonor& donor,
+                      const ValidationPolicy& policy) {
+    if (bad == 0) return true;
+    if ((double)bad > policy.max_bad_subcarrier_fraction * (double)kNumSubcarriers)
+        return false;
+    // Negated so a NaN stream time never counts as fresh.
+    if (!donor.valid || !(t - donor.t <= policy.staleness_budget_s)) return false;
+    for (std::size_t i = 0; i < kNumSubcarriers; ++i)
+        if (!std::isfinite(csi[i])) csi[i] = donor.csi[i];
+    return true;
+}
+
 void IngestStats::merge(const IngestStats& other) {
     total += other.total;
     accepted += other.accepted;
@@ -61,7 +74,7 @@ RecordValidator::RecordValidator(ValidationPolicy policy) : policy_(policy) {
 }
 
 void RecordValidator::reset_stream() {
-    has_last_csi_ = false;
+    csi_donor_.valid = false;
     has_last_env_ = false;
     has_last_t_ = false;
     inferred_period_ = policy_.expected_period_s;
@@ -140,24 +153,13 @@ RecordDisposition RecordValidator::ingest_impl(SampleRecord& r) {
     }
 
     if (bad > 0) {
-        const bool too_many_bad =
-            (double)bad > policy_.max_bad_subcarrier_fraction *
-                              (double)kNumSubcarriers;
-        const bool donor_fresh =
-            has_last_csi_ &&
-            r.timestamp - last_csi_t_ <= policy_.staleness_budget_s;
-        if (too_many_bad || !donor_fresh) {
+        if (!forward_fill_csi(r.csi, bad, r.timestamp, csi_donor_, policy_)) {
             ++stats_.quarantined;
             has_last_t_ = true;
             last_t_ = r.timestamp;
             return RecordDisposition::kQuarantined;
         }
-        for (std::size_t i = 0; i < kNumSubcarriers; ++i) {
-            if (!std::isfinite(r.csi[i])) {
-                r.csi[i] = last_csi_[i];
-                ++stats_.csi_values_imputed;
-            }
-        }
+        stats_.csi_values_imputed += bad;
         repaired = true;
     }
 
@@ -189,9 +191,7 @@ RecordDisposition RecordValidator::ingest_impl(SampleRecord& r) {
     }
 
     // --- Record accepted: refresh donor state. -------------------------------
-    last_csi_ = r.csi;
-    last_csi_t_ = r.timestamp;
-    has_last_csi_ = true;
+    csi_donor_ = CsiDonor{true, r.timestamp, r.csi};
     last_temp_ = r.temperature_c;
     last_hum_ = r.humidity_pct;
     last_env_t_ = r.timestamp;

@@ -58,6 +58,26 @@ struct ValidationPolicy {
     double gap_factor = 1.5;
 };
 
+/// The last good CSI frame of a stream: the donor that forward-fill
+/// repairs non-finite amplitudes from. Each owner decides when to refresh
+/// it (the validator on every accepted record, the resilient detector on
+/// every usable frame).
+struct CsiDonor {
+    bool valid = false;
+    double t = 0.0;
+    std::array<float, kNumSubcarriers> csi{};
+};
+
+/// Forward-fill one frame that has `bad` non-finite amplitudes at stream
+/// time `t`: each is replaced by the donor's value when at most
+/// `policy.max_bad_subcarrier_fraction` of the frame is bad and the donor
+/// is at most `policy.staleness_budget_s` old. Returns false, leaving `csi`
+/// untouched, when the frame cannot be repaired; `bad == 0` succeeds.
+[[nodiscard]] bool forward_fill_csi(std::array<float, kNumSubcarriers>& csi,
+                                    std::size_t bad, double t,
+                                    const CsiDonor& donor,
+                                    const ValidationPolicy& policy);
+
 enum class RecordDisposition : std::uint8_t {
     kAccepted = 0,    ///< clean, untouched
     kRepaired = 1,    ///< bad fields imputed in place; safe to ingest
@@ -115,9 +135,7 @@ private:
 
     ValidationPolicy policy_;
     IngestStats stats_;
-    bool has_last_csi_ = false;
-    double last_csi_t_ = 0.0;
-    std::array<float, kNumSubcarriers> last_csi_{};
+    CsiDonor csi_donor_;
     bool has_last_env_ = false;
     double last_env_t_ = 0.0;
     float last_temp_ = 0.0f;

@@ -23,6 +23,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_counter.hpp"
@@ -169,6 +170,31 @@ TEST(TraceSpans, SamplingKeepsOneInNAndCountsTheRest) {
     common::trace_reset();
     common::trace_disable();
     EXPECT_EQ(common::trace_sampled_out(), 0u);
+}
+
+TEST(TraceSpans, ThreadBeyondSlotTableDropsUntilReEnabled) {
+    ObservabilityGuard guard;
+    common::TraceConfig cfg;
+    cfg.max_threads = 1;
+    common::trace_enable(cfg);
+
+    // Another thread takes the only slot; this thread finds the table full.
+    std::thread([] { common::trace_instant("test.slot_owner"); }).join();
+    for (int i = 0; i < 3; ++i) common::trace_instant("test.slotless");
+    std::vector<common::TraceEvent> events = common::trace_snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_STREQ(events[0].name, "test.slot_owner");
+    EXPECT_EQ(common::trace_dropped_events(), 3u)
+        << "every event of a thread without a slot is counted as dropped";
+
+    // A fresh session empties the slot table: this thread records again.
+    common::trace_enable(cfg);
+    common::trace_instant("test.rejoined");
+    common::trace_disable();
+    events = common::trace_snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_STREQ(events[0].name, "test.rejoined");
+    EXPECT_EQ(common::trace_dropped_events(), 0u);
 }
 
 TEST(TraceSpans, SimulatorEmitsTickEventAndSampleSpans) {

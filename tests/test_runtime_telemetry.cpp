@@ -23,6 +23,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_counter.hpp"
@@ -504,6 +505,32 @@ TEST(FlightRecorder, RingWrapsKeepingNewestInOrder) {
     const std::string json = common::flight_to_json(8);
     EXPECT_NE(json.find("\"events\":["), std::string::npos);
     EXPECT_NE(json.find("\"label\":\"wrap\""), std::string::npos);
+}
+
+TEST(FlightRecorder, ThreadBeyondSlotTableDropsUntilReEnabled) {
+    TelemetryGuard guard;
+    common::FlightConfig cfg;
+    cfg.max_threads = 1;
+    common::flight_enable(cfg);
+
+    // Another thread takes the only slot; this thread finds the table full.
+    std::thread([] { common::flight_record("test", "slot-owner", 0.0, 0.0); })
+        .join();
+    for (int i = 0; i < 3; ++i)
+        common::flight_record("test", "slotless", 1.0, static_cast<double>(i));
+    std::vector<common::FlightEvent> events = common::flight_snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_STREQ(events[0].label, "slot-owner");
+    EXPECT_EQ(common::flight_dropped_events(), 3u)
+        << "every event of a thread without a slot is counted as dropped";
+
+    // A fresh session empties the slot table: this thread records again.
+    common::flight_enable(cfg);
+    common::flight_record("test", "rejoined", 2.0, 0.0);
+    events = common::flight_snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_STREQ(events[0].label, "rejoined");
+    EXPECT_EQ(common::flight_dropped_events(), 0u);
 }
 
 TEST(FlightRecorder, DisabledRecordingIsInert) {

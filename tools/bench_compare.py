@@ -3,28 +3,13 @@
 
 Usage:
     bench_compare.py BASELINE CURRENT [--tolerance REL] [--gate KEY]...
-    bench_compare.py --trend DIR [DIR ...] [--top N]
-    bench_compare.py --flame TRACE.json [TRACE.json ...] [--flame-out FILE]
+                     [--limit KEY=MAX]... [--perf-gate KEY=REL]...
 
 BASELINE and CURRENT are directories holding BENCH_*.json files (or two
-individual files). Records are matched by file name.
-
---trend renders a cross-commit wall-clock trend table instead of gating:
-each DIR holds one commit's BENCH_*.json files (oldest first — e.g. one
-directory per commit of CI artifacts), and the table tracks the whole-bench
-wall clock plus every per-span aggregate ("spans" section, recorded when
-the bench ran with WIFISENSE_TRACE) across those commits. When a DIR also
-holds Chrome-trace exports (*trace*.json — the --trace-out side-cars CI
-uploads), the trend ends with a top-N *self-time* table: per-span time with
-child spans subtracted, the number flame graphs rank by. Timing is never
-gated; the trend exists to make hot-path regressions visible over time.
-
---flame collapses one or more Chrome-trace exports into folded-stack lines
-("parent;child;leaf <self_us>", the flamegraph.pl collapsed format) plus a
-top-N self-time table. Stacks are reconstructed from the complete-event
-("X") nesting that check_trace.py already enforces per thread. Write the
-folded lines to a file with --flame-out and feed them straight to any
-flame-graph renderer.
+individual files). Records are matched by file name. Performance is
+measured by perfbench/, not by these records: its --trace 1 run folds the
+spans per layer, and an exported Chrome trace opens in Perfetto or
+chrome://tracing.
 
 Gating rules -- the exit status is non-zero iff a gated metric drifts:
   * every metric whose key contains "acc" (accuracy percentages) is gated
@@ -43,7 +28,7 @@ Gating rules -- the exit status is non-zero iff a gated metric drifts:
     catastrophic-regression smoke gate, not a benchmark;
   * wall-clock / timing metrics (key ending in "_s" or containing "wall",
     "_us_", "rss", "samples_per_sec") are never gated by the strict rules --
-    they are reported for trend reading (only --perf-gate touches them).
+    they are reported informationally (only --perf-gate touches them).
 
 Everything else is reported informationally.
 """
@@ -78,147 +63,10 @@ def rel_diff(a: float, b: float) -> float:
     return 0.0 if scale == 0.0 else abs(a - b) / scale
 
 
-def load_trace_spans(path: Path) -> list[dict]:
-    """Complete ("X") events of one Chrome-trace export, or [] on malformed
-    input (trend mode treats a bad side-car as absent, --flame fails)."""
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return []
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return []
-    return [e for e in events
-            if isinstance(e, dict) and e.get("ph") == "X"
-            and isinstance(e.get("name"), str)]
-
-
-def fold_stacks(events: list[dict]) -> tuple[dict[str, float], dict[str, float]]:
-    """Collapse complete events into flame-graph aggregates.
-
-    Returns (folded, self_by_name): `folded` maps a semicolon-joined stack
-    path to the accumulated self time in us; `self_by_name` totals self
-    time per span name across all stacks. Self time is a span's duration
-    minus its direct children — the quantity a flame graph's box width
-    encodes. Relies on the per-thread full-containment nesting that
-    check_trace.py validates.
-    """
-    folded: dict[str, float] = {}
-    self_by_name: dict[str, float] = {}
-    by_tid: dict[int, list[dict]] = {}
-    for e in events:
-        by_tid.setdefault(int(e.get("tid", 0)), []).append(e)
-
-    def close_top(stack: list[list]) -> None:
-        name, ts, end, child_us = stack.pop()
-        self_us = max(0.0, (end - ts) - child_us)
-        path = ";".join(s[0] for s in stack) + (";" if stack else "") + name
-        folded[path] = folded.get(path, 0.0) + self_us
-        self_by_name[name] = self_by_name.get(name, 0.0) + self_us
-
-    for evs in by_tid.values():
-        # Parents sort before the children they contain: earlier start
-        # first, longer duration first on ties.
-        evs.sort(key=lambda e: (float(e["ts"]),
-                                -(float(e["ts"]) + float(e["dur"]))))
-        stack: list[list] = []  # [name, ts, end, child_us]
-        for e in evs:
-            ts, dur = float(e["ts"]), float(e["dur"])
-            while stack and ts >= stack[-1][2] - 1e-6:
-                close_top(stack)
-            if stack:
-                stack[-1][3] += dur
-            stack.append([e["name"], ts, ts + dur, 0.0])
-        while stack:
-            close_top(stack)
-    return folded, self_by_name
-
-
-def print_self_time_table(columns: list[dict[str, float]], labels: list[str],
-                          top: int) -> None:
-    """Top-`top` spans by self time: one column per label, ranked by the
-    column-wise maximum so a span hot in any commit stays visible."""
-    names = sorted({n for col in columns for n in col},
-                   key=lambda n: -max(col.get(n, 0.0) for col in columns))
-    if not names:
-        return
-    width = max(14, max(len(lb) for lb in labels) + 2)
-    print(f"\n{'top self-time spans (us)':40}" +
-          "".join(f"{lb:>{width}}" for lb in labels))
-    for name in names[:top]:
-        cells = []
-        for col in columns:
-            v = col.get(name)
-            cells.append(f"{v:,.0f}" if v is not None else "-")
-        print(f"{'  ' + name:40}" + "".join(f"{c:>{width}}" for c in cells))
-
-
-def print_flame(traces: list[Path], out_path: Path | None, top: int) -> int:
-    all_events: list[dict] = []
-    for t in traces:
-        events = load_trace_spans(t)
-        if not events:
-            sys.exit(f"bench_compare: {t} has no complete trace events")
-        all_events.extend(events)
-    folded, self_by_name = fold_stacks(all_events)
-    lines = [f"{path} {round(us)}"
-             for path, us in sorted(folded.items()) if round(us) > 0]
-    if out_path is not None:
-        out_path.write_text("\n".join(lines) + "\n")
-        print(f"bench_compare: wrote {len(lines)} folded stacks to {out_path}")
-    else:
-        for line in lines:
-            print(line)
-    print_self_time_table([self_by_name], ["self_us"], top)
-    return 0
-
-
-def print_trend(dirs: list[Path], top: int) -> int:
-    """Cross-commit trend table: one column per directory (commit), one row
-    per bench wall clock and per recorded span aggregate. Directories that
-    also hold Chrome-trace side-cars get a top-N self-time table."""
-    columns = [load_records(d) for d in dirs]
-    labels = [d.name or str(d) for d in dirs]
-    width = max(12, max(len(lb) for lb in labels) + 2)
-
-    names = sorted({n for col in columns for n in col})
-    print(f"{'':40}" + "".join(f"{lb:>{width}}" for lb in labels))
-    for name in names:
-        cells = []
-        for col in columns:
-            rec = col.get(name)
-            cells.append(f"{rec['wall_clock_s']:.2f}s" if rec else "-")
-        print(f"{name + ' wall_clock':40}" +
-              "".join(f"{c:>{width}}" for c in cells))
-        span_names = sorted(
-            {s for col in columns for s in col.get(name, {}).get("spans", {})})
-        for span in span_names:
-            cells = []
-            for col in columns:
-                info = col.get(name, {}).get("spans", {}).get(span)
-                cells.append(
-                    f"{info['total_s']:.2f}s/{info['count']}" if info else "-")
-            print(f"{'  span ' + span:40}" +
-                  "".join(f"{c:>{width}}" for c in cells))
-
-    # Self-time ranking from whatever trace side-cars each commit uploaded.
-    self_cols = []
-    for d in dirs:
-        merged: dict[str, float] = {}
-        if d.is_dir():
-            for trace in sorted(d.glob("*trace*.json")):
-                for name, us in fold_stacks(load_trace_spans(trace))[1].items():
-                    merged[name] = merged.get(name, 0.0) + us
-        self_cols.append(merged)
-    if any(self_cols):
-        print_self_time_table(self_cols, labels, top)
-    return 0
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline", type=Path, nargs="?")
-    ap.add_argument("current", type=Path, nargs="?")
+    ap.add_argument("baseline", type=Path)
+    ap.add_argument("current", type=Path)
     ap.add_argument("--tolerance", type=float, default=1e-9,
                     help="relative tolerance for gated metrics (default 1e-9)")
     ap.add_argument("--gate", action="append", default=[], metavar="KEY",
@@ -230,14 +78,6 @@ def main() -> int:
                     metavar="KEY=REL",
                     help="direction-aware performance band vs baseline "
                          "(repeatable; 'per_sec' keys are higher-is-better)")
-    ap.add_argument("--trend", nargs="+", type=Path, metavar="DIR",
-                    help="trend mode: one column per directory, oldest first")
-    ap.add_argument("--flame", nargs="+", type=Path, metavar="TRACE",
-                    help="collapse Chrome-trace exports into folded stacks")
-    ap.add_argument("--flame-out", type=Path, default=None, metavar="FILE",
-                    help="write the folded stacks to FILE instead of stdout")
-    ap.add_argument("--top", type=int, default=10, metavar="N",
-                    help="rows in the self-time tables (default 10)")
     args = ap.parse_args()
 
     def parse_kv(spec: str, flag: str) -> tuple[str, float]:
@@ -251,13 +91,6 @@ def main() -> int:
 
     limits = dict(parse_kv(s, "--limit") for s in args.limit)
     perf_gates = dict(parse_kv(s, "--perf-gate") for s in args.perf_gate)
-
-    if args.flame:
-        return print_flame(args.flame, args.flame_out, args.top)
-    if args.trend:
-        return print_trend(args.trend, args.top)
-    if args.baseline is None or args.current is None:
-        ap.error("BASELINE and CURRENT are required unless --trend is given")
 
     base = load_records(args.baseline)
     cur = load_records(args.current)
