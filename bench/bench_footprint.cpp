@@ -92,7 +92,7 @@ void BM_TrainingStep(benchmark::State& state) {
         net.zero_grad();
         const nn::Matrix& out = net.forward_ws(x, /*cache=*/true);
         loss.compute_into(out, y, net.output_grad_buffer());
-        benchmark::DoNotOptimize(net.backward_ws());
+        net.backward_params_ws();
         opt.step(params);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -159,7 +159,7 @@ void record_training_profile(wifisense::bench::BenchReport& report) {
         net.zero_grad();
         const nn::Matrix& out = net.forward_ws(bx, /*cache=*/true);
         loss.compute_into(out, by, net.output_grad_buffer());
-        net.backward_ws();
+        net.backward_params_ws();
         opt.step(params);
     };
     step(0);

@@ -220,48 +220,200 @@ void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
         gemv_row(a + i * k, b, c + i * n, k, n, 0);
 }
 
+/// dW tile: rows [i, i+R) x 16 columns of C += X^T dY, held in 2R ymm
+/// accumulators across a k-chunk of kc batch rows. x points at x(k0, i)
+/// (row stride m); the chunk's 16 dY columns sit packed in `panel`.
+template <std::size_t R>
+void tn_tile(const float* x, std::size_t m, const float* panel, std::size_t kc,
+             float* c, std::size_t n) {
+    __m256 acc0[R], acc1[R];
+    for (std::size_t r = 0; r < R; ++r) {
+        acc0[r] = _mm256_loadu_ps(c + r * n);
+        acc1[r] = _mm256_loadu_ps(c + r * n + 8);
+    }
+    for (std::size_t kk = 0; kk < kc; ++kk) {
+        const __m256 b0 = _mm256_load_ps(panel + kk * 16);
+        const __m256 b1 = _mm256_load_ps(panel + kk * 16 + 8);
+        const float* xk = x + kk * m;
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m256 av = _mm256_set1_ps(xk[r]);
+            acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
+            acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
+        }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+        _mm256_storeu_ps(c + r * n, acc0[r]);
+        _mm256_storeu_ps(c + r * n + 8, acc1[r]);
+    }
+}
+
+/// dW for one column j past the last 16-column panel, 8*NV rows of C at a
+/// time: x(kk, i..i+8*NV) is contiguous in X's row kk, so the tile runs
+/// across C rows against one broadcast dY value. x points at x(0, i), dy at
+/// dy(0, j), c at C[i][j].
+template <std::size_t NV>
+void tn_column_tile(const float* x, std::size_t m, const float* dy,
+                    std::size_t n, std::size_t kk_count, float* c) {
+    alignas(32) float col[8 * NV];
+    for (std::size_t r = 0; r < 8 * NV; ++r) col[r] = c[r * n];
+    __m256 acc[NV];
+    for (std::size_t v = 0; v < NV; ++v) acc[v] = _mm256_load_ps(col + 8 * v);
+    for (std::size_t kk = 0; kk < kk_count; ++kk) {
+        const __m256 g = _mm256_set1_ps(dy[kk * n]);
+        const float* xk = x + kk * m;
+        for (std::size_t v = 0; v < NV; ++v)
+            acc[v] = _mm256_fmadd_ps(_mm256_loadu_ps(xk + 8 * v), g, acc[v]);
+    }
+    for (std::size_t v = 0; v < NV; ++v) _mm256_store_ps(col + 8 * v, acc[v]);
+    for (std::size_t r = 0; r < 8 * NV; ++r) c[r * n] = col[r];
+}
+
+/// Rows [i0, i1) of dW = C += X^T dY (X is [kk x m], dY is [kk x n]). Each
+/// 16-column dY panel is packed into the forward kernel's stack layout and
+/// swept by 4x16 register tiles that keep C in registers across the whole
+/// batch chunk; columns past the last panel run across C rows. Every
+/// element takes one FMA per batch row, in ascending order, onto C's
+/// value. Skipping zero activations, as the scalar loop does, would give
+/// the same bits on finite dY, the fact the packed forward kernel rests on;
+/// a non-finite dY turns the rows of zero activations NaN as well
+/// (DESIGN.md §16). Chunk boundaries spill the exact partial to C, so the
+/// bits depend neither on kPanelK nor on the row range.
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void avx2_matmul_tn_rows(const float* a, const float* b, float* c,
                          std::size_t kk_count, std::size_t m, std::size_t n,
                          std::size_t i0, std::size_t i1) {
-    const std::size_t n8 = n & ~std::size_t{7};
-    for (std::size_t i = i0; i < i1; ++i) {
-        float* crow = c + i * n;
-        for (std::size_t kk = 0; kk < kk_count; ++kk) {
-            const float av = a[kk * m + i];
-            if (av == 0.0f) continue;
-            const __m256 vav = _mm256_set1_ps(av);
-            const float* brow = b + kk * n;
-            std::size_t j = 0;
-            for (; j < n8; j += 8) {
-                const __m256 acc = _mm256_loadu_ps(crow + j);
-                _mm256_storeu_ps(crow + j,
-                                 _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), acc));
+    const std::size_t n16 = n & ~std::size_t{15};
+    if (n16 > 0) {
+        alignas(32) float panel[kPanelK * 16];
+        for (std::size_t j = 0; j < n16; j += 16) {
+            for (std::size_t k0 = 0; k0 < kk_count; k0 += kPanelK) {
+                const std::size_t kc = std::min(kPanelK, kk_count - k0);
+                for (std::size_t kk = 0; kk < kc; ++kk) {
+                    const float* src = b + (k0 + kk) * n + j;
+                    _mm256_store_ps(panel + kk * 16, _mm256_loadu_ps(src));
+                    _mm256_store_ps(panel + kk * 16 + 8,
+                                    _mm256_loadu_ps(src + 8));
+                }
+                const float* x = a + k0 * m;
+                std::size_t i = i0;
+                for (; i + 4 <= i1; i += 4)
+                    tn_tile<4>(x + i, m, panel, kc, c + i * n + j, n);
+                for (; i < i1; ++i)
+                    tn_tile<1>(x + i, m, panel, kc, c + i * n + j, n);
             }
-            for (; j < n; ++j) crow[j] = std::fmaf(av, brow[j], crow[j]);
+        }
+    }
+    for (std::size_t j = n16; j < n; ++j) {
+        std::size_t i = i0;
+        for (; i + 32 <= i1; i += 32)
+            tn_column_tile<4>(a + i, m, b + j, n, kk_count, c + i * n + j);
+        for (; i + 8 <= i1; i += 8)
+            tn_column_tile<1>(a + i, m, b + j, n, kk_count, c + i * n + j);
+        for (; i < i1; ++i) {
+            float acc = c[i * n + j];
+            for (std::size_t kk = 0; kk < kk_count; ++kk)
+                acc = std::fmaf(a[kk * m + i], b[kk * n + j], acc);
+            c[i * n + j] = acc;
         }
     }
 }
 
+/// dX tile: R rows of dY against NC rows of W, one 8-lane accumulator per
+/// output over the first k8 terms; each output then finishes as a lone dot
+/// product would: hsum_ps, then an fmaf tail over [k8, k). a points at dY
+/// row i, b at W row j, c at C[i][j].
+template <std::size_t R, std::size_t NC>
+void nt_tile(const float* a, const float* b, float* c, std::size_t k,
+             std::size_t k8, std::size_t n) {
+    __m256 acc[R][NC];
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t q = 0; q < NC; ++q) acc[r][q] = _mm256_setzero_ps();
+    for (std::size_t kk = 0; kk < k8; kk += 8) {
+        __m256 bv[NC];
+        for (std::size_t q = 0; q < NC; ++q)
+            bv[q] = _mm256_loadu_ps(b + q * k + kk);
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m256 av = _mm256_loadu_ps(a + r * k + kk);
+            for (std::size_t q = 0; q < NC; ++q)
+                acc[r][q] = _mm256_fmadd_ps(av, bv[q], acc[r][q]);
+        }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t q = 0; q < NC; ++q) {
+            float sum = hsum_ps(acc[r][q]);
+            for (std::size_t kk = k8; kk < k; ++kk)
+                sum = std::fmaf(a[r * k + kk], b[q * k + kk], sum);
+            c[r * n + q] = sum;
+        }
+    }
+}
+
+/// One row block of dX across columns [j0, j1): 3-column tiles, then
+/// single columns.
+template <std::size_t R>
+void nt_row_block(const float* a, const float* b, float* c, std::size_t k,
+                  std::size_t n, std::size_t j0, std::size_t j1) {
+    const std::size_t k8 = k & ~std::size_t{7};
+    std::size_t j = j0;
+    for (; j + 3 <= j1; j += 3) nt_tile<R, 3>(a, b + j * k, c + j, k, k8, n);
+    for (; j < j1; ++j) nt_tile<R, 1>(a, b + j * k, c + j, k, k8, n);
+}
+
+/// Floats of W per column block of the dX kernel (24 KiB): the block stays
+/// in L1 while every row block of the chunk sweeps it, instead of all of W
+/// streaming from L2 once per 4 rows.
+constexpr std::size_t kNtBlockFloats = 6 * 1024;
+
+/// dX for k < 8 (the 128->1 head's dY is one column wide). No 8-lane chunk
+/// exists, so every output is the fmaf chain from the +0 that hsum_ps of a
+/// zero accumulator gives; it runs across 8 output columns at once, with
+/// W's k x 8 block transposed into a stack panel.
+void nt_narrow(const float* a, const float* b, float* c, std::size_t k,
+               std::size_t n, std::size_t r0, std::size_t r1) {
+    const std::size_t n8 = n & ~std::size_t{7};
+    alignas(32) float wt[7 * 8];
+    for (std::size_t j = 0; j < n8; j += 8) {
+        for (std::size_t kk = 0; kk < k; ++kk)
+            for (std::size_t l = 0; l < 8; ++l) wt[kk * 8 + l] = b[(j + l) * k + kk];
+        for (std::size_t i = r0; i < r1; ++i) {
+            const float* arow = a + i * k;
+            __m256 acc = _mm256_setzero_ps();
+            for (std::size_t kk = 0; kk < k; ++kk)
+                acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[kk]),
+                                      _mm256_load_ps(wt + kk * 8), acc);
+            _mm256_storeu_ps(c + i * n + j, acc);
+        }
+    }
+    for (std::size_t j = n8; j < n; ++j) {
+        for (std::size_t i = r0; i < r1; ++i) {
+            float sum = 0.0f;
+            for (std::size_t kk = 0; kk < k; ++kk)
+                sum = std::fmaf(a[i * k + kk], b[j * k + kk], sum);
+            c[i * n + j] = sum;
+        }
+    }
+}
+
+/// Rows [r0, r1) of dX = C = dY * W^T (dY is [m x k], W is [n x k]), in
+/// 4-row x 3-column tiles: twelve independent 8-lane chains, where one
+/// accumulator per output would wait on FMA latency. Every output is the
+/// same arithmetic as its lone dot product (eight lane chains, hsum_ps,
+/// fmaf tail), so neither the tiles nor the W blocks change a bit.
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void avx2_matmul_nt_rows(const float* a, const float* b, float* c,
                          std::size_t k, std::size_t n, std::size_t r0,
                          std::size_t r1) {
-    const std::size_t k8 = k & ~std::size_t{7};
-    for (std::size_t i = r0; i < r1; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (std::size_t j = 0; j < n; ++j) {
-            const float* brow = b + j * k;
-            __m256 vacc = _mm256_setzero_ps();
-            std::size_t kk = 0;
-            for (; kk < k8; kk += 8)
-                vacc = _mm256_fmadd_ps(_mm256_loadu_ps(arow + kk),
-                                       _mm256_loadu_ps(brow + kk), vacc);
-            float acc = hsum_ps(vacc);
-            for (; kk < k; ++kk) acc = std::fmaf(arow[kk], brow[kk], acc);
-            crow[j] = acc;
-        }
+    if (k < 8) {
+        nt_narrow(a, b, c, k, n, r0, r1);
+        return;
+    }
+    const std::size_t block = std::max(std::size_t{3}, kNtBlockFloats / k / 3 * 3);
+    for (std::size_t j0 = 0; j0 < n; j0 += block) {
+        const std::size_t j1 = std::min(n, j0 + block);
+        std::size_t i = r0;
+        for (; i + 4 <= r1; i += 4)
+            nt_row_block<4>(a + i * k, b, c + i * n, k, n, j0, j1);
+        for (; i < r1; ++i) nt_row_block<1>(a + i * k, b, c + i * n, k, n, j0, j1);
     }
 }
 

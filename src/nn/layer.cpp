@@ -1,7 +1,9 @@
 #include "nn/layer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace wifisense::nn {
@@ -61,20 +63,17 @@ Dense::Dense(std::size_t in, std::size_t out)
     if (in == 0 || out == 0) throw std::invalid_argument("Dense: zero dimension");
 }
 
-// wifisense-lint: allow-call(shape_string) error-text construction reached only on the precondition-failure path, which ends in an allowed throw
 void Dense::forward_into(const Matrix& input, Matrix& output, bool cache) {
-    if (input.cols() != in_)
-        // wifisense-lint: allow(ipa.throw-leak) shape precondition guard:
-        // fires only on caller API misuse, never on data content
-        throw std::invalid_argument("Dense::forward: input width " +
-                                    // wifisense-lint: allow(ipa.alloc-leak) error-text exists only on the failure path ending in the allowed throw
-                                    input.shape_string() + " != " + std::to_string(in_));
-    matmul_into(input, w_, output);
-    add_row_vector_inplace(output, b_);
+    dense_forward_into(input, w_, b_, kernels::Activation::kNone, output);
     cache_forward(input, output, cache);
 }
 
 void Dense::backward_into(const Matrix& grad_output, Matrix& grad_input) {
+    accumulate_param_grads(grad_output);
+    matmul_nt_into(grad_output, w_, grad_input);
+}
+
+void Dense::accumulate_param_grads(const Matrix& grad_output) {
     require_cached_forward("Dense::backward");
     if (grad_output.rows() != in_view_->rows() || grad_output.cols() != out_)
         throw std::invalid_argument("Dense::backward: gradient shape mismatch");
@@ -86,8 +85,6 @@ void Dense::backward_into(const Matrix& grad_output, Matrix& grad_input) {
     // accumulation is bitwise identical to compute-then-add.
     matmul_tn_into(*in_view_, grad_output, gw_, /*accumulate=*/true);
     column_sums_into(grad_output, gb_, /*accumulate=*/true);
-
-    matmul_nt_into(grad_output, w_, grad_input);
 }
 
 std::vector<ParamView> Dense::parameters() {
@@ -118,9 +115,19 @@ void ReLU::backward_into(const Matrix& grad_output, Matrix& grad_input) {
         grad_output.cols() != out_view_->cols())
         throw std::invalid_argument("ReLU::backward: gradient shape mismatch");
     out_grad_view_ = &grad_output;
-    grad_input.copy_from(grad_output);
-    for (std::size_t i = 0; i < grad_input.size(); ++i)
-        if (out_view_->data()[i] <= 0.0f) grad_input.data()[i] = 0.0f;
+    // wifisense-lint: allow(noalloc.container-growth) resize within the
+    // reserved workspace capacity is allocation-free (DESIGN.md §11)
+    grad_input.resize(grad_output.rows(), grad_output.cols());
+    // One branch-free pass: keep g's bits where the output is not <= 0
+    // (NaN outputs included), +0 elsewhere. Post-ReLU masks are about half
+    // zeros, so a per-element branch mispredicts on them.
+    const float* y = out_view_->data().data();
+    const float* g = grad_output.data().data();
+    float* gi = grad_input.data().data();
+    for (std::size_t i = 0; i < grad_input.size(); ++i) {
+        const std::uint32_t keep = 0u - static_cast<std::uint32_t>(!(y[i] <= 0.0f));
+        gi[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) & keep);
+    }
 }
 
 Dropout::Dropout(std::size_t width, double p, std::uint64_t seed)

@@ -133,6 +133,9 @@ public:
 
     void forward_into(const Matrix& input, Matrix& output, bool cache) override;
     void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
+    /// backward_into() without dObjective/dInput: accumulates the weight and
+    /// bias gradients and records the gradient view, nothing else.
+    void accumulate_param_grads(const Matrix& grad_output);
     std::vector<ParamView> parameters() override;
     void zero_grad() override;
     std::string name() const override { return "Dense"; }

@@ -113,6 +113,13 @@ Matrix& Mlp::output_grad_buffer() {
 }
 
 const Matrix& Mlp::backward_ws() {
+    backward_layers(/*input_grad=*/true);
+    return ws_input_grad_;
+}
+
+void Mlp::backward_params_ws() { backward_layers(/*input_grad=*/false); }
+
+void Mlp::backward_layers(bool input_grad) {
     if (layers_.empty()) throw std::logic_error("Mlp::backward: empty network");
     if (fwd_input_ == nullptr)
         throw std::logic_error(
@@ -123,11 +130,12 @@ const Matrix& Mlp::backward_ws() {
     const Matrix& out = ws_act_.back();
     if (ws_grad_.back().rows() != out.rows() || ws_grad_.back().cols() != out.cols())
         throw std::invalid_argument("Mlp::backward: gradient shape mismatch");
-    for (std::size_t i = layers_.size(); i-- > 0;) {
-        Matrix& grad_in = i > 0 ? ws_grad_[i - 1] : ws_input_grad_;
-        layers_[i]->backward_into(ws_grad_[i], grad_in);
-    }
-    return ws_input_grad_;
+    for (std::size_t i = layers_.size(); i-- > 1;)
+        layers_[i]->backward_into(ws_grad_[i], ws_grad_[i - 1]);
+    if (!input_grad && layers_[0]->kind() == LayerKind::kDense)
+        static_cast<Dense&>(*layers_[0]).accumulate_param_grads(ws_grad_[0]);
+    else
+        layers_[0]->backward_into(ws_grad_[0], ws_input_grad_);
 }
 
 Matrix Mlp::forward(const Matrix& input) {

@@ -10,11 +10,12 @@
 // Memory model: every Mlp owns a Workspace — per-layer activation and
 // gradient buffers plus a batch input slot — sized once from the largest
 // batch seen (or reserve_workspace()). The zero-allocation API
-// (forward_ws/output_grad_buffer/backward_ws) runs a full training step
-// without touching the heap once the workspace is warm; the value-returning
-// forward/backward remain as thin copying shims. Buffers are reused across
-// batches and epochs, never shared across Mlp instances — clone the network
-// before driving it from concurrent tasks (see core/experiments.cpp).
+// (forward_ws/output_grad_buffer/backward_params_ws) runs a full training
+// step without touching the heap once the workspace is warm; the
+// value-returning forward/backward remain as thin copying shims. Buffers are
+// reused across batches and epochs, never shared across Mlp instances —
+// clone the network before driving it from concurrent tasks (see
+// core/experiments.cpp).
 #pragma once
 
 #include <cstddef>
@@ -79,6 +80,12 @@ public:
     /// dObjective/dInput. Requires a cached forward_ws() on this batch.
     const Matrix& backward_ws();
 
+    /// The training step's backward: backward_ws() minus dObjective/dInput,
+    /// which only Grad-CAM reads. It is skipped when the first layer is
+    /// Dense, where it costs a GEMM; parameter gradients and the per-layer
+    /// gradient views come out identical.
+    void backward_params_ws();
+
     void zero_grad();
 
     /// Propagate training/inference mode to every layer (dropout, activation
@@ -112,6 +119,7 @@ public:
 
 private:
     void reserve_grad_buffers();
+    void backward_layers(bool input_grad);
 
     std::vector<std::unique_ptr<Layer>> layers_;
     std::vector<std::size_t> dims_;

@@ -221,17 +221,6 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
     return c;
 }
 
-void add_row_vector_inplace(Matrix& a, std::span<const float> v) {
-    if (v.size() != a.cols())
-        // wifisense-lint: allow(ipa.throw-leak) shape precondition guard:
-        // fires only on caller API misuse, never on data content
-        throw std::invalid_argument("add_row_vector_inplace: vector length != cols");
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        const std::span<float> row = a.row(r);
-        for (std::size_t c = 0; c < v.size(); ++c) row[c] += v[c];
-    }
-}
-
 std::vector<float> column_sums(const Matrix& a) {
     std::vector<float> out(a.cols(), 0.0f);
     column_sums_into(a, out, /*accumulate=*/true);

@@ -95,13 +95,12 @@ void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& out,
 /// out = A * B^T. Shapes: [m x k] * [n x k]^T -> [m x n].
 void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out = act(A * W + bias): the fused dense-layer forward of the inference
-/// fast path. Each parallel row chunk runs the GEMM rows and then the
-/// bias+activation epilogue while those rows are cache-hot, eliminating the
-/// separate bias pass and the activation layer's full-batch copy. On the
-/// scalar backend the result is bitwise identical to the unfused
-/// matmul_into + add_row_vector_inplace + ReLU/Sigmoid sequence (same
-/// per-element operation order; float32 stores round-trip exactly).
+/// out = act(A * W + bias): the dense-layer forward. Each parallel row
+/// chunk runs the GEMM rows and then the bias+activation epilogue while
+/// those rows are cache-hot. Dense::forward_into calls it with kNone; the
+/// inference fast path fuses the following ReLU/Sigmoid, which on the
+/// scalar backend is bitwise identical to running that layer separately
+/// (same per-element operation order; float32 stores round-trip exactly).
 void dense_forward_into(const Matrix& a, const Matrix& w,
                         std::span<const float> bias, kernels::Activation act,
                         Matrix& out);
@@ -116,9 +115,6 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b);
 
 /// C = A * B^T. Shapes: [m x k] * [n x k]^T -> [m x n].
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
-
-/// out[r] = a[r] + v for each row r; v.size() must equal a.cols().
-void add_row_vector_inplace(Matrix& a, std::span<const float> v);
 
 /// Column sums of a (length a.cols()).
 std::vector<float> column_sums(const Matrix& a);

@@ -72,7 +72,7 @@ double train_step(Mlp& net, const Matrix& inputs, const Matrix& targets,
     net.zero_grad();
     const Matrix& out = net.forward_ws(bx, /*cache=*/true);
     const double batch_loss = loss.compute_into(out, by, net.output_grad_buffer());
-    net.backward_ws();
+    net.backward_params_ws();
     if (cfg.grad_clip > 0.0) clip_gradients(params, cfg.grad_clip);
     opt.step(params);
     return batch_loss;

@@ -15,6 +15,7 @@
 //   * warm forward paths allocate nothing on any backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -275,15 +276,33 @@ TEST(KernelParity, Avx2IsBitwiseThreadCountInvariant) {
     const nn::Matrix a = random_matrix(97, 33, 5);
     const nn::Matrix b = random_matrix(33, 41, 6);
 
+    // Shapes whose row grain is 16 rows, so the dispatcher splits them into
+    // several chunks (97 x 33 x 41 above runs as one): the forward GEMM and
+    // dX = dY W^T over 70 rows of C (5 chunks), and dW = X^T dY over a
+    // 256-row batch (40 rows of C, 3 chunks).
+    const nn::Matrix x = random_matrix(256, 40, 7);
+    const nn::Matrix dy = random_matrix(256, 300, 8);
+    const nn::Matrix g = random_matrix(70, 260, 9);
+    const nn::Matrix w = random_matrix(260, 260, 10);
+
     common::set_execution_config({.threads = 1});
-    nn::Matrix ref;
+    nn::Matrix ref, ref_mm, ref_tn, ref_nt;
     nn::matmul_into(a, b, ref);
+    nn::matmul_into(g, w, ref_mm);
+    nn::matmul_tn_into(x, dy, ref_tn);
+    nn::matmul_nt_into(g, w, ref_nt);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         common::set_execution_config({.threads = threads});
-        nn::Matrix out;
+        nn::Matrix out, out_mm, out_tn, out_nt;
         nn::matmul_into(a, b, out);
+        nn::matmul_into(g, w, out_mm);
+        nn::matmul_tn_into(x, dy, out_tn);
+        nn::matmul_nt_into(g, w, out_nt);
         EXPECT_TRUE(bitwise_equal(ref, out));
+        EXPECT_TRUE(bitwise_equal(ref_mm, out_mm));
+        EXPECT_TRUE(bitwise_equal(ref_tn, out_tn));
+        EXPECT_TRUE(bitwise_equal(ref_nt, out_nt));
     }
 }
 
@@ -355,6 +374,104 @@ TEST(KernelParity, Avx2SingleRowGemvMatchesBlockedRowsBitwise) {
                           0)
                     << "rows [" << r0 << ", " << r0 + m << ")";
             }
+        }
+    }
+}
+
+/// dW = X^T dY accumulated into C: one fused multiply-add per nonzero
+/// activation x(kk, i), in ascending batch order, onto C's starting value.
+float tn_reference_chain(const nn::Matrix& x, const nn::Matrix& dy,
+                         float start, std::size_t i, std::size_t j) {
+    float acc = start;
+    for (std::size_t kk = 0; kk < x.rows(); ++kk)
+        if (x.at(kk, i) != 0.0f)
+            acc = std::fmaf(x.at(kk, i), dy.at(kk, j), acc);
+    return acc;
+}
+
+/// dX = dY W^T: eight lane chains over the first k & ~7 terms, summed in
+/// hsum_ps's order, then an fmaf tail over the rest in ascending k.
+float nt_reference_chain(const nn::Matrix& dy, const nn::Matrix& w,
+                         std::size_t i, std::size_t j) {
+    const std::size_t k = dy.cols();
+    const std::size_t k8 = k & ~std::size_t{7};
+    float lane[8] = {};
+    for (std::size_t kk = 0; kk < k8; ++kk)
+        lane[kk % 8] = std::fmaf(dy.at(i, kk), w.at(j, kk), lane[kk % 8]);
+    float acc = ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+                ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+    for (std::size_t kk = k8; kk < k; ++kk)
+        acc = std::fmaf(dy.at(i, kk), w.at(j, kk), acc);
+    return acc;
+}
+
+/// "" when a and b hold the same bits, else the first differing element.
+std::string first_bit_mismatch(const nn::Matrix& a, const nn::Matrix& b) {
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = 0; j < a.cols(); ++j)
+            if (bits32(a.at(i, j)) != bits32(b.at(i, j)))
+                return "row " + std::to_string(i) + " col " + std::to_string(j);
+    return "";
+}
+
+// The training GEMMs: dW = X^T dY (matmul_tn_rows) and dX = dY W^T
+// (matmul_nt_rows). Every element must be the exact chain above whatever
+// row range the dispatcher hands the kernel, so avx2 training bits depend
+// neither on the kernels' tiling nor on the thread count.
+TEST(KernelParity, Avx2BackwardKernelsMatchReferenceChainsBitwise) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    const kn::KernelBackend& vx = *kn::avx2_backend();
+
+    struct Shape {
+        std::size_t in, out, batch;
+    };
+    // The paper model's layers and the 2-input fallback model's input
+    // layer at the training batch, then ragged input widths (rows of dW,
+    // columns of dX) against output widths (columns of dW, the depth of
+    // dX's dot products) at a batch that crosses dW's 256-row panel chunk.
+    std::vector<Shape> shapes = {{66, 128, 256}, {128, 256, 256},
+                                 {256, 128, 256}, {128, 1, 256},
+                                 {2, 128, 256}};
+    for (const std::size_t in : {1, 2, 7, 9, 17, 65})
+        for (const std::size_t out : {1, 5, 8, 13, 600})
+            shapes.push_back({in, out, 300});
+
+    std::uint64_t seed = 5100;
+    for (const Shape& s : shapes) {
+        SCOPED_TRACE("in=" + std::to_string(s.in) + " out=" +
+                     std::to_string(s.out) + " batch=" + std::to_string(s.batch));
+        const std::size_t batch = s.batch;
+        const nn::Matrix x = half_zero_matrix(batch, s.in, seed++, 3);
+        const nn::Matrix dy = half_zero_matrix(batch, s.out, seed++, 5);
+        const nn::Matrix w = random_matrix(s.in, s.out, seed++);
+        const nn::Matrix c0 = random_matrix(s.in, s.out, seed++);
+
+        nn::Matrix want_tn(s.in, s.out), want_nt(batch, s.in);
+        for (std::size_t i = 0; i < s.in; ++i)
+            for (std::size_t j = 0; j < s.out; ++j)
+                want_tn.at(i, j) = tn_reference_chain(x, dy, c0.at(i, j), i, j);
+        for (std::size_t i = 0; i < batch; ++i)
+            for (std::size_t j = 0; j < s.in; ++j)
+                want_nt.at(i, j) = nt_reference_chain(dy, w, i, j);
+
+        // Row chunks of 1-5 rows, then the whole range in one call.
+        for (const std::size_t chunk : {1, 2, 3, 4, 5, 0}) {
+            SCOPED_TRACE("chunk=" + std::to_string(chunk));
+            nn::Matrix tn = c0;
+            const std::size_t tn_step = chunk == 0 ? s.in : chunk;
+            for (std::size_t r0 = 0; r0 < s.in; r0 += tn_step)
+                vx.matmul_tn_rows(x.data().data(), dy.data().data(),
+                                  tn.data().data(), batch, s.in, s.out, r0,
+                                  std::min(s.in, r0 + tn_step));
+            EXPECT_EQ(first_bit_mismatch(tn, want_tn), "") << "matmul_tn_rows";
+
+            nn::Matrix nt(batch, s.in, 0.0f);
+            const std::size_t nt_step = chunk == 0 ? batch : chunk;
+            for (std::size_t r0 = 0; r0 < batch; r0 += nt_step)
+                vx.matmul_nt_rows(dy.data().data(), w.data().data(),
+                                  nt.data().data(), s.out, s.in, r0,
+                                  std::min(batch, r0 + nt_step));
+            EXPECT_EQ(first_bit_mismatch(nt, want_nt), "") << "matmul_nt_rows";
         }
     }
 }

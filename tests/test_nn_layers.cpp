@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include "nn/init.hpp"
@@ -21,6 +24,22 @@ nn::Matrix random_matrix(std::size_t r, std::size_t c, std::mt19937_64& rng) {
     for (float& v : m.data()) v = u(rng);
     return m;
 }
+
+std::uint32_t bits32(float f) {
+    std::uint32_t u;
+    std::memcpy(&u, &f, 4);
+    return u;
+}
+
+/// ReLU whose cached forward output is set directly, to reach outputs its
+/// own forward pass never produces.
+class CachedOutputRelu : public nn::ReLU {
+public:
+    using nn::ReLU::ReLU;
+    void cache(const nn::Matrix& input, const nn::Matrix& output) {
+        cache_forward(input, output, /*cache=*/true);
+    }
+};
 
 // Scalar objective: sum of elementwise products with fixed weights.
 double objective(const nn::Matrix& out, const nn::Matrix& w) {
@@ -128,6 +147,23 @@ TEST(Layers, ReluGradientMask) {
     EXPECT_FLOAT_EQ(gin.at(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(gin.at(0, 1), 1.0f);
     EXPECT_FLOAT_EQ(gin.at(0, 2), 1.0f);
+
+    // Cached outputs ReLU::forward never writes (NaN, -0) still follow the
+    // mask's rule: +0 wherever the output is <= 0, the gradient itself
+    // elsewhere, NaN included (NaN <= 0 is false).
+    CachedOutputRelu masked(6);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const nn::Matrix in(1, 6);
+    const nn::Matrix out{{nan, -0.0f, 0.0f, -2.0f, 3.0f, 1e-30f}};
+    masked.cache(in, out);
+    const nn::Matrix grad{{-1.5f, -2.0f, -0.25f, -4.0f, -3.0f, nan}};
+    nn::Matrix grad_in;
+    masked.backward_into(grad, grad_in);
+    const std::uint32_t want[6] = {bits32(-1.5f), bits32(0.0f), bits32(0.0f),
+                                   bits32(0.0f), bits32(-3.0f), bits32(nan)};
+    ASSERT_EQ(grad_in.cols(), 6u);
+    for (std::size_t j = 0; j < 6; ++j)
+        EXPECT_EQ(bits32(grad_in.at(0, j)), want[j]) << "column " << j;
 }
 
 TEST(Layers, SigmoidForwardAndGradient) {

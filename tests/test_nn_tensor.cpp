@@ -54,14 +54,6 @@ TEST(Tensor, TransposedVariantsAgreeWithExplicitTranspose) {
               1e-5f);
 }
 
-TEST(Tensor, AddRowVector) {
-    nn::Matrix a{{1.0f, 2.0f}, {3.0f, 4.0f}};
-    const std::vector<float> v{10.0f, 20.0f};
-    nn::add_row_vector_inplace(a, v);
-    EXPECT_FLOAT_EQ(a.at(0, 0), 11.0f);
-    EXPECT_FLOAT_EQ(a.at(1, 1), 24.0f);
-}
-
 TEST(Tensor, ColumnSumsAndMeans) {
     const nn::Matrix a{{1.0f, 2.0f}, {3.0f, 4.0f}};
     const std::vector<float> sums = nn::column_sums(a);

@@ -139,23 +139,85 @@ TEST(WorkspaceGolden, TrainingBitwiseIdenticalAcrossThreadCounts) {
     }
 }
 
-// The avx2 sibling: no pinned constants (FMA rounds differently from the
-// scalar loops), only the same bits at every thread count, so the avx2
-// sanitizer legs still train through the vectorized kernels.
+// The avx2 sibling, so the avx2 sanitizer legs also train through the
+// vectorized kernels. Its constants were captured with the unblocked
+// backward GEMMs (one broadcast per batch row for dW, one accumulator per
+// output for dX). Every avx2 kernel since keeps each element's FMA chain,
+// so the bits must not move at any thread count.
+constexpr std::uint64_t kAvx2GoldenEpochLoss[3] = {
+    0x3fe9e43d8c13b992ull, 0x3fe7c58bbf4619d5ull, 0x3fe6e10ee3bd2dedull};
+constexpr std::uint32_t kAvx2GoldenLogits[7] = {
+    0x3d711299u, 0x3e1e905cu, 0xbc6bdc0du, 0xbe8b1204u,
+    0xba936640u, 0x3c37b560u, 0xbf6e7141u};
+constexpr std::uint32_t kAvx2GoldenWeightsXor = 0x3c1af978u;
+
 TEST(WorkspaceGolden, Avx2TrainingBitwiseIdenticalAcrossThreadCounts) {
     if (!nn::kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
     ThreadConfigGuard guard;
     KernelBackendGuard kguard;
     ASSERT_TRUE(nn::kernels::set_kernel_backend("avx2"));
 
-    const GoldenBits ref = train_golden(1);
-    ASSERT_EQ(ref.epoch_loss.size(), 3u);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         const GoldenBits g = train_golden(threads);
-        EXPECT_EQ(g.epoch_loss, ref.epoch_loss);
-        EXPECT_EQ(g.logits, ref.logits);
-        EXPECT_EQ(g.weights_xor, ref.weights_xor);
+
+        ASSERT_EQ(g.epoch_loss.size(), 3u);
+        for (std::size_t e = 0; e < 3; ++e)
+            EXPECT_EQ(g.epoch_loss[e], kAvx2GoldenEpochLoss[e]) << "epoch " << e;
+        ASSERT_EQ(g.logits.size(), 7u);
+        for (std::size_t r = 0; r < 7; ++r)
+            EXPECT_EQ(g.logits[r], kAvx2GoldenLogits[r]) << "row " << r * 97;
+        EXPECT_EQ(g.weights_xor, kAvx2GoldenWeightsXor);
+    }
+}
+
+/// The paper model at its training shapes: paper_mlp(66) (the fused 4-link
+/// input width) trained two epochs at batch 256 on 1,050 samples of
+/// y = [x0 + x1*x2 > 0], so the last batch of each epoch is a ragged 26
+/// rows. Captured on avx2 with the same kernels as the constants above.
+constexpr std::uint64_t kAvx2PaperEpochLoss[2] = {0x3fea40947005bca8ull,
+                                                 0x3fe18109a8674978ull};
+constexpr std::uint32_t kAvx2PaperLogits[11] = {
+    0xbf330fdcu, 0x3e23ea71u, 0xbf0278c6u, 0x3f3b0366u, 0xbf7f7494u, 0xbfd37233u,
+    0xbf9d307fu, 0x3ec07340u, 0xbf3de7e9u, 0xbf94b093u, 0xbed482d7u};
+constexpr std::uint32_t kAvx2PaperWeightsXor = 0xbe0d7936u;
+
+TEST(WorkspaceGolden, Avx2PaperMlpTrainingMatchesPinnedBits) {
+    if (!nn::kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    ThreadConfigGuard guard;
+    KernelBackendGuard kguard;
+    ASSERT_TRUE(nn::kernels::set_kernel_backend("avx2"));
+
+    std::mt19937_64 drng(321);
+    std::uniform_real_distribution<float> u(-1.0f, 1.0f);
+    nn::Matrix x(1050, 66), y(1050, 1);
+    for (float& v : x.data()) v = u(drng);
+    for (std::size_t i = 0; i < y.rows(); ++i)
+        y.at(i, 0) = x.at(i, 0) + x.at(i, 1) * x.at(i, 2) > 0.0f ? 1.0f : 0.0f;
+    nn::TrainConfig cfg;
+    cfg.epochs = 2;
+    cfg.batch_size = 256;
+    cfg.seed = 77;
+    const nn::BceWithLogitsLoss loss;
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        common::set_execution_config({.threads = threads});
+        std::mt19937_64 rng(9);
+        nn::Mlp net = nn::paper_mlp(66, rng);
+        const nn::TrainHistory h = nn::train(net, x, y, loss, cfg);
+
+        ASSERT_EQ(h.epoch_loss.size(), 2u);
+        for (std::size_t e = 0; e < 2; ++e)
+            EXPECT_EQ(bits64(h.epoch_loss[e]), kAvx2PaperEpochLoss[e]) << "epoch " << e;
+        const nn::Matrix logits = nn::predict(net, x, 256);
+        for (std::size_t r = 0; r < 11; ++r)
+            EXPECT_EQ(bits32(logits.at(r * 97, 0)), kAvx2PaperLogits[r])
+                << "row " << r * 97;
+        std::uint32_t weights_xor = 0;
+        for (nn::ParamView& p : net.parameters())
+            for (const float v : p.values) weights_xor ^= bits32(v);
+        EXPECT_EQ(weights_xor, kAvx2PaperWeightsXor);
     }
 }
 
@@ -191,7 +253,7 @@ protected:
         net_.zero_grad();
         const nn::Matrix& out = net_.forward_ws(bx, /*cache=*/true);
         loss_.compute_into(out, by_, net_.output_grad_buffer());
-        net_.backward_ws();
+        net_.backward_params_ws();
         clip(5.0);
         opt_.step(params_);
     }
