@@ -12,18 +12,18 @@
 // Results are thread-count invariant by the determinism contract; only the
 // wall clock changes.
 //
-// Observability (DESIGN.md §14) is wired the same way: WIFISENSE_TRACE /
-// WIFISENSE_METRICS environment variables (or the --trace-out=FILE /
-// --metrics-out=FILE flags, via configure_observability) turn on the span
-// recorder and the metric registry. Timing flows through the sanctioned
+// Observability (DESIGN.md §14) is wired the same way: the WIFISENSE_TRACE /
+// WIFISENSE_SNAPSHOT environment variables (or the --trace-out=FILE /
+// --snapshot-out=FILE flags, via configure_observability) turn on the span
+// recorder and the telemetry registry. Timing flows through the sanctioned
 // common/trace.hpp clock, so the bench harness needs no raw-clock lint
 // exemptions and its per-phase spans land in the same trace as the
 // instrumented library code.
 //
 // Besides its stdout tables, every bench records machine-readable results in
-// BENCH_<name>.json (wall clock, thread count, rows, key metrics, plus the
-// metric registry when enabled) via BenchReport — the input of the CI
-// baseline comparison (tools/bench_compare.py).
+// BENCH_<name>.json (wall clock, thread count, rows, key metrics) via
+// BenchReport — the input of the CI baseline comparison
+// (tools/bench_compare.py).
 #pragma once
 
 #include <cstdint>
@@ -36,10 +36,7 @@
 #include <vector>
 
 #include "common/cpuid.hpp"
-#include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "common/telemetry/flight_recorder.hpp"
-#include "common/telemetry/snapshot.hpp"
 #include "common/trace.hpp"
 #include "core/experiments.hpp"
 #include "data/folds.hpp"
@@ -55,37 +52,20 @@ inline double bench_rate() {
     return 1.0;
 }
 
-/// The process-wide observability settings. First use applies the
-/// WIFISENSE_TRACE / WIFISENSE_METRICS environment variables.
+/// The observability outputs this bench run asked for.
 inline common::ObservabilityEnv& observability() {
-    static common::ObservabilityEnv env =
-        common::configure_observability_from_env();
+    static common::ObservabilityEnv env;
     return env;
 }
 
-/// Apply the environment and then any --trace-out=FILE / --metrics-out=FILE
-/// / --snapshot-out=FILE / --kernels=NAME command-line flags (flags win over
-/// the WIFISENSE_TRACE / WIFISENSE_METRICS / WIFISENSE_SNAPSHOT /
-/// WIFISENSE_KERNELS environment). Call first thing in main(); unknown
-/// arguments are left for the bench's own parsing.
-inline common::ObservabilityEnv& configure_observability(int argc,
-                                                         char** argv) {
-    common::ObservabilityEnv& env = observability();
+/// Apply the observability environment and flags (common/trace.hpp), then
+/// any --kernels=NAME flag, which wins over WIFISENSE_KERNELS. Call first
+/// thing in main(); the remaining arguments are left for the bench's own
+/// parsing.
+inline void configure_observability(int& argc, char** argv) {
+    observability() = common::configure_observability(argc, argv);
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-            env.trace = true;
-            env.trace_path = argv[i] + 12;
-            common::trace_enable();
-        } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-            env.metrics = true;
-            env.metrics_path = argv[i] + 14;
-            common::metrics_enable();
-        } else if (std::strncmp(argv[i], "--snapshot-out=", 15) == 0) {
-            env.snapshot = true;
-            env.snapshot_path = argv[i] + 15;
-            common::metrics_enable();
-            common::flight_enable();
-        } else if (std::strncmp(argv[i], "--kernels=", 10) == 0) {
+        if (std::strncmp(argv[i], "--kernels=", 10) == 0) {
             // First touch applies WIFISENSE_KERNELS; the flag then overrides.
             (void)nn::kernels::configure_kernels_from_env();
             if (!nn::kernels::set_kernel_backend(argv[i] + 10)) {
@@ -101,7 +81,6 @@ inline common::ObservabilityEnv& configure_observability(int argc,
             }
         }
     }
-    return env;
 }
 
 inline data::Dataset generate_dataset() {
@@ -123,10 +102,9 @@ inline void print_header(const char* what) {
 }
 
 /// Machine-readable bench record. Construct at bench start (starts the wall
-/// clock, applies WIFISENSE_THREADS and the observability environment), add
-/// key metrics as they are computed, and call write() last — it emits
-/// BENCH_<name>.json in the working directory and, when observability is on,
-/// the side-car trace/metrics files requested via env or flags.
+/// clock, applies WIFISENSE_THREADS), add key metrics as they are computed,
+/// and call write() last — it emits BENCH_<name>.json in the working
+/// directory and the trace/snapshot files requested via env or flags.
 class BenchReport {
 public:
     explicit BenchReport(std::string name)
@@ -134,7 +112,6 @@ public:
           threads_(common::configure_threads_from_env()),
           kernel_backend_(nn::kernels::configure_kernels_from_env()),
           cpu_features_(common::cpu_feature_string()) {
-        (void)observability();  // apply WIFISENSE_TRACE / WIFISENSE_METRICS
         start_ = common::trace_now_ns();
     }
 
@@ -170,7 +147,6 @@ public:
         std::fprintf(f, "  \"kernel_backend\": \"%s\",\n",
                      kernel_backend_.c_str());
         std::fprintf(f, "  \"cpu_features\": \"%s\",\n", cpu_features_.c_str());
-        write_metric_registry(f);
         std::fprintf(f, "  \"metrics\": {");
         for (std::size_t i = 0; i < metrics_.size(); ++i)
             std::fprintf(f, "%s\n    \"%s\": %.17g", i ? "," : "",
@@ -178,49 +154,11 @@ public:
         std::fprintf(f, "%s}\n}\n", metrics_.empty() ? "" : "\n  ");
         std::fclose(f);
         std::printf("wrote %s\n", path.c_str());
-        write_sidecars();
+        common::write_observability_outputs(observability());
         return path;
     }
 
 private:
-    /// "observability": the full metric registry (counters/gauges/histograms).
-    void write_metric_registry(std::FILE* f) const {
-        if (!common::metrics_enabled()) return;
-        std::fprintf(f, "  \"observability\": %s,\n",
-                     common::metrics_to_json().c_str());
-    }
-
-    /// Export the trace / metrics side-car files requested via env or flags.
-    void write_sidecars() const {
-        const common::ObservabilityEnv& env = observability();
-        if (env.trace && !env.trace_path.empty()) {
-            const common::Status st = common::write_chrome_trace(env.trace_path);
-            if (st.is_ok())
-                std::printf("wrote %s\n", env.trace_path.c_str());
-            else
-                std::fprintf(stderr, "trace export failed: %s\n",
-                             st.to_string().c_str());
-        }
-        if (env.metrics && !env.metrics_path.empty()) {
-            const common::Status st =
-                common::write_metrics_json(env.metrics_path);
-            if (st.is_ok())
-                std::printf("wrote %s\n", env.metrics_path.c_str());
-            else
-                std::fprintf(stderr, "metrics export failed: %s\n",
-                             st.to_string().c_str());
-        }
-        if (env.snapshot && !env.snapshot_path.empty()) {
-            const common::Status st =
-                common::write_telemetry_snapshot(env.snapshot_path);
-            if (st.is_ok())
-                std::printf("wrote %s\n", env.snapshot_path.c_str());
-            else
-                std::fprintf(stderr, "snapshot export failed: %s\n",
-                             st.to_string().c_str());
-        }
-    }
-
     std::string name_;
     std::size_t threads_;
     std::string kernel_backend_;  ///< backend active at bench start

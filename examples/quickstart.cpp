@@ -2,8 +2,8 @@
 // detector, evaluate on unseen days, and round-trip the model through disk.
 //
 //   ./quickstart [sample_rate_hz] [--links=N] [--fault-plan=SPEC]
-//               [--trace-out=FILE] [--metrics-out=FILE]
-//               [--snapshot-out=FILE] [--slo=SPEC] [--slo-strict]
+//               [--trace-out=FILE] [--snapshot-out=FILE] [--slo=SPEC]
+//               [--slo-strict]
 //
 // The optional fault plan injects deterministic sensing faults into the
 // simulated collection (frame drops, NaN/Inf/saturated amplitudes,
@@ -23,11 +23,11 @@
 // single-link collection, so steps 1-5 are unchanged by the flag.
 //
 // --trace-out=FILE records the run's spans into a Chrome-trace JSON (open
-// in chrome://tracing or Perfetto); --metrics-out=FILE dumps the metric
-// registry; --snapshot-out=FILE writes the unified telemetry snapshot
-// (metrics + sketches + windows + SLO verdicts + flight-recorder tail,
-// DESIGN.md §19). The WIFISENSE_TRACE / WIFISENSE_METRICS /
-// WIFISENSE_SNAPSHOT environment variables do the same without flags.
+// in chrome://tracing or Perfetto); --snapshot-out=FILE writes the telemetry
+// snapshot (metrics + sketches + windows + SLO verdicts + flight-recorder
+// tail, DESIGN.md §19). The WIFISENSE_TRACE / WIFISENSE_SNAPSHOT environment
+// variables do the same without flags; the benches parse both the same way
+// (common::configure_observability).
 //
 // --slo=SPEC (e.g. --slo=name=serve,p99<=2000,avail>=95) replays fold 1
 // through the trained detector as a serving stream, records every request
@@ -47,7 +47,6 @@
 #include "common/metrics.hpp"
 #include "common/telemetry/flight_recorder.hpp"
 #include "common/telemetry/slo.hpp"
-#include "common/telemetry/snapshot.hpp"
 #include "common/trace.hpp"
 #include "core/experiments.hpp"
 #include "core/link_fusion.hpp"
@@ -69,22 +68,10 @@ int main(int argc, char** argv) {
     common::SloSpec slo_spec;
     bool have_slo = false;
     bool slo_strict = false;
-    common::ObservabilityEnv obs = common::configure_observability_from_env();
+    const common::ObservabilityEnv obs =
+        common::configure_observability(argc, argv);
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-            obs.trace = true;
-            obs.trace_path = argv[i] + 12;
-            common::trace_enable();
-        } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-            obs.metrics = true;
-            obs.metrics_path = argv[i] + 14;
-            common::metrics_enable();
-        } else if (std::strncmp(argv[i], "--snapshot-out=", 15) == 0) {
-            obs.snapshot = true;
-            obs.snapshot_path = argv[i] + 15;
-            common::metrics_enable();
-            common::flight_enable();
-        } else if (std::strncmp(argv[i], "--slo=", 6) == 0) {
+        if (std::strncmp(argv[i], "--slo=", 6) == 0) {
             auto parsed = common::parse_slo_spec(argv[i] + 6);
             if (!parsed.is_ok()) {
                 std::fprintf(stderr, "bad --slo: %s\n",
@@ -329,31 +316,7 @@ int main(int argc, char** argv) {
         }
     }
 
-    if (obs.trace && !obs.trace_path.empty()) {
-        const common::Status st = common::write_chrome_trace(obs.trace_path);
-        if (st.is_ok())
-            std::printf("wrote trace to %s\n", obs.trace_path.c_str());
-        else
-            std::fprintf(stderr, "trace export failed: %s\n",
-                         st.to_string().c_str());
-    }
-    if (obs.metrics && !obs.metrics_path.empty()) {
-        const common::Status st = common::write_metrics_json(obs.metrics_path);
-        if (st.is_ok())
-            std::printf("wrote metrics to %s\n", obs.metrics_path.c_str());
-        else
-            std::fprintf(stderr, "metrics export failed: %s\n",
-                         st.to_string().c_str());
-    }
-    if (obs.snapshot && !obs.snapshot_path.empty()) {
-        const common::Status st =
-            common::write_telemetry_snapshot(obs.snapshot_path);
-        if (st.is_ok())
-            std::printf("wrote snapshot to %s\n", obs.snapshot_path.c_str());
-        else
-            std::fprintf(stderr, "snapshot export failed: %s\n",
-                         st.to_string().c_str());
-    }
+    common::write_observability_outputs(obs);
 
     if (have_slo && slo_strict &&
         slo_verdict.state == common::SloState::kBreach) {

@@ -5,8 +5,10 @@
 #include <memory>
 #include <mutex>
 
+#include "common/telemetry/flight_recorder.hpp"
 #include "common/telemetry/quantile_sketch.hpp"
 #include "common/telemetry/sliding_window.hpp"
+#include "common/telemetry/slo.hpp"
 
 namespace wifisense::common {
 
@@ -16,22 +18,21 @@ std::atomic<bool> g_metrics_enabled{false};
 
 namespace {
 
-/// The process-wide instrument registry. std::map keeps export order
+/// Name-keyed instruments of one kind. std::map keeps export order
 /// deterministic (sorted by name); unique_ptr keeps handles stable across
 /// later registrations.
+template <class T>
+using Family = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
+/// The process-wide registry: one lock, one reset and one export for every
+/// instrument.
 struct Registry {
     std::mutex mu;
-    std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
-    // Serving-grade telemetry instruments (common/telemetry/), registered
-    // alongside the PR-5 trio so one registry owns every handle's lifetime
-    // and one reset touches everything.
-    std::map<std::string, std::unique_ptr<QuantileSketch>, std::less<>> sketches;
-    std::map<std::string, std::unique_ptr<WindowedCounter>, std::less<>>
-        windowed_counters;
-    std::map<std::string, std::unique_ptr<WindowedQuantile>, std::less<>>
-        windowed_quantiles;
+    Family<Counter> counters;
+    Family<Gauge> gauges;
+    Family<QuantileSketch> sketches;
+    Family<SlidingWindow> windows;
+    Family<SloMonitor> slos;
 };
 
 Registry& registry() {
@@ -39,31 +40,63 @@ Registry& registry() {
     return r;
 }
 
-void append_double(std::string& out, double v) {
+/// The one lookup-or-create path; `args` construct the instrument on its
+/// first registration only.
+template <class T, class... Args>
+T& lookup_or_create(Family<T>& family, std::string_view name,
+                    const Args&... args) {
+    std::lock_guard lock(registry().mu);
+    auto it = family.find(name);
+    if (it == family.end())
+        it = family.emplace(std::string(name), std::make_unique<T>(args...))
+                 .first;
+    return *it->second;
+}
+
+/// Most recent flight-recorder events carried by a snapshot.
+constexpr std::size_t kSnapshotRecorderTail = 512;
+
+constexpr const char* kQuantileKeys[kSketchQuantileCount] = {"p50", "p90",
+                                                             "p99", "p999"};
+
+/// The one JSON number formatter: shortest round-trip form of a double.
+void append_number(std::string& out, double v) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     out += buf;
 }
 
+/// Opens member `name` of the object being written, comma-separated from
+/// the previous member unless it is the first.
+void append_key(std::string& out, bool& first, std::string_view name) {
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += name;
+    out += "\":";
+}
+
+void append_field(std::string& out, const char* key, double v) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    append_number(out, v);
+}
+
+void append_field(std::string& out, const char* key, std::uint64_t v) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    out += std::to_string(v);
+}
+
+void append_field(std::string& out, const char* key, bool v) {
+    out += ",\"";
+    out += key;
+    out += v ? "\":true" : "\":false";
+}
+
 }  // namespace
-
-Histogram::Histogram(std::string name, std::span<const double> edges)
-    : name_(std::move(name)),
-      edges_(edges.begin(), edges.end()),
-      counts_(edges.size() + 1) {}
-
-std::uint64_t Histogram::total_count() const {
-    std::uint64_t total = 0;
-    for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
-    return total;
-}
-
-void Histogram::reset() {
-    for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-    sum_bits_.store(0, std::memory_order_relaxed);
-    underflow_.store(0, std::memory_order_relaxed);
-    overflow_.store(0, std::memory_order_relaxed);
-}
 
 void metrics_enable() {
     obsdetail::g_metrics_enabled.store(true, std::memory_order_release);
@@ -76,236 +109,121 @@ void metrics_disable() {
 void metrics_reset() {
     Registry& r = registry();
     std::lock_guard lock(r.mu);
-    for (auto& [name, c] : r.counters) c->reset();
-    for (auto& [name, g] : r.gauges) g->reset();
-    for (auto& [name, h] : r.histograms) h->reset();
-    for (auto& [name, s] : r.sketches) s->reset();
-    for (auto& [name, w] : r.windowed_counters) w->reset();
-    for (auto& [name, w] : r.windowed_quantiles) w->reset();
+    const auto reset_all = [](auto& family) {
+        for (auto& [name, instrument] : family) instrument->reset();
+    };
+    reset_all(r.counters);
+    reset_all(r.gauges);
+    reset_all(r.sketches);
+    reset_all(r.windows);
+    reset_all(r.slos);
 }
 
 Counter& obs_counter(std::string_view name) {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    auto it = r.counters.find(name);
-    if (it == r.counters.end())
-        it = r.counters
-                 .emplace(std::string(name),
-                          std::make_unique<Counter>(std::string(name)))
-                 .first;
-    return *it->second;
+    return lookup_or_create(registry().counters, name);
 }
 
 Gauge& obs_gauge(std::string_view name) {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    auto it = r.gauges.find(name);
-    if (it == r.gauges.end())
-        it = r.gauges
-                 .emplace(std::string(name),
-                          std::make_unique<Gauge>(std::string(name)))
-                 .first;
-    return *it->second;
-}
-
-Histogram& obs_histogram(std::string_view name, std::span<const double> edges) {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    auto it = r.histograms.find(name);
-    if (it == r.histograms.end())
-        it = r.histograms
-                 .emplace(std::string(name),
-                          std::make_unique<Histogram>(std::string(name), edges))
-                 .first;
-    return *it->second;
+    return lookup_or_create(registry().gauges, name);
 }
 
 QuantileSketch& obs_sketch(std::string_view name) {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    auto it = r.sketches.find(name);
-    if (it == r.sketches.end())
-        it = r.sketches
-                 .emplace(std::string(name),
-                          std::make_unique<QuantileSketch>(std::string(name)))
-                 .first;
-    return *it->second;
+    return lookup_or_create(registry().sketches, name);
 }
 
-WindowedCounter& obs_windowed_counter(std::string_view name,
-                                      const WindowConfig& cfg) {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    auto it = r.windowed_counters.find(name);
-    if (it == r.windowed_counters.end())
-        it = r.windowed_counters
-                 .emplace(std::string(name), std::make_unique<WindowedCounter>(
-                                                 std::string(name), cfg))
-                 .first;
-    return *it->second;
+SlidingWindow& obs_window(std::string_view name, const WindowConfig& cfg) {
+    return lookup_or_create(registry().windows, name, cfg);
 }
 
-WindowedQuantile& obs_windowed_quantile(std::string_view name,
-                                        const WindowConfig& cfg) {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    auto it = r.windowed_quantiles.find(name);
-    if (it == r.windowed_quantiles.end())
-        it = r.windowed_quantiles
-                 .emplace(std::string(name), std::make_unique<WindowedQuantile>(
-                                                 std::string(name), cfg))
-                 .first;
-    return *it->second;
+SloMonitor& obs_slo(const SloSpec& spec) {
+    return lookup_or_create(registry().slos, spec.name, spec);
 }
 
-std::string sketches_to_json() {
+std::string telemetry_snapshot_json() {
     Registry& r = registry();
     std::lock_guard lock(r.mu);
-    std::string out = "{";
-    bool first = true;
-    for (const auto& [name, s] : r.sketches) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += name;
-        out += "\":{\"count\":";
-        out += std::to_string(s->count());
-        out += ",\"min\":";
-        append_double(out, s->min());
-        out += ",\"max\":";
-        append_double(out, s->max());
-        out += ",\"sum\":";
-        append_double(out, s->sum());
-        static constexpr const char* kQuantileKeys[] = {"p50", "p90", "p99",
-                                                        "p999"};
-        for (std::size_t i = 0; i < kSketchQuantileCount; ++i) {
-            out += ",\"";
-            out += kQuantileKeys[i];
-            out += "\":";
-            append_double(out, s->estimate(i));
-        }
-        out += '}';
-    }
-    out += "}";
-    return out;
-}
-
-std::string windows_to_json() {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto& [name, w] : r.windowed_counters) {
-        if (!first) out += ',';
-        first = false;
-        const double span =
-            static_cast<double>(w->config().epochs) * w->config().epoch_seconds;
-        out += '"';
-        out += name;
-        out += "\":{\"window_s\":";
-        append_double(out, span);
-        out += ",\"total\":";
-        out += std::to_string(w->total());
-        out += ",\"rate_per_s\":";
-        append_double(out, w->rate_per_s(span));
-        out += ",\"late_dropped\":";
-        out += std::to_string(w->late_dropped());
-        out += '}';
-    }
-    out += "},\"quantiles\":{";
-    first = true;
-    for (const auto& [name, w] : r.windowed_quantiles) {
-        if (!first) out += ',';
-        first = false;
-        const double span =
-            static_cast<double>(w->config().epochs) * w->config().epoch_seconds;
-        out += '"';
-        out += name;
-        out += "\":{\"window_s\":";
-        append_double(out, span);
-        out += ",\"count\":";
-        out += std::to_string(w->count_last(span));
-        out += ",\"late_dropped\":";
-        out += std::to_string(w->late_dropped());
-        static constexpr const char* kQuantileKeys[] = {"p50", "p90", "p99",
-                                                        "p999"};
-        for (std::size_t i = 0; i < kSketchQuantileCount; ++i) {
-            out += ",\"";
-            out += kQuantileKeys[i];
-            out += "\":";
-            append_double(out, w->quantile_last(span, kSketchQuantiles[i]));
-        }
-        out += '}';
-    }
-    out += "}}";
-    return out;
-}
-
-std::string metrics_to_json() {
-    Registry& r = registry();
-    std::lock_guard lock(r.mu);
-    std::string out = "{\"counters\":{";
+    std::string out =
+        "{\"schema\":\"wifisense.telemetry_snapshot/v2\",\"metrics\":{"
+        "\"counters\":{";
     bool first = true;
     for (const auto& [name, c] : r.counters) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += name;
-        out += "\":";
+        append_key(out, first, name);
         out += std::to_string(c->value());
     }
     out += "},\"gauges\":{";
     first = true;
     for (const auto& [name, g] : r.gauges) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += name;
-        out += "\":";
-        append_double(out, g->value());
+        append_key(out, first, name);
+        append_number(out, g->value());
     }
-    out += "},\"histograms\":{";
+    out += "}},\"sketches\":{";
     first = true;
-    for (const auto& [name, h] : r.histograms) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += name;
-        out += "\":{\"edges\":[";
-        for (std::size_t i = 0; i < h->edges().size(); ++i) {
-            if (i > 0) out += ',';
-            append_double(out, h->edges()[i]);
-        }
-        out += "],\"counts\":[";
-        for (std::size_t i = 0; i <= h->edges().size(); ++i) {
-            if (i > 0) out += ',';
-            out += std::to_string(h->bucket_count(i));
-        }
-        out += "],\"count\":";
-        out += std::to_string(h->total_count());
-        out += ",\"sum\":";
-        append_double(out, h->sum());
-        out += ",\"underflow\":";
-        out += std::to_string(h->underflow_count());
-        out += ",\"overflow\":";
-        out += std::to_string(h->overflow_count());
+    for (const auto& [name, s] : r.sketches) {
+        append_key(out, first, name);
+        out += "{\"count\":" + std::to_string(s->count());
+        append_field(out, "min", s->min());
+        append_field(out, "max", s->max());
+        append_field(out, "sum", s->sum());
+        for (std::size_t i = 0; i < kSketchQuantileCount; ++i)
+            append_field(out, kQuantileKeys[i], s->estimate(i));
         out += '}';
     }
-    out += "}}";
+    out += "},\"windows\":{";
+    first = true;
+    for (const auto& [name, w] : r.windows) {
+        const double span = w->span_s();
+        append_key(out, first, name);
+        out += "{\"window_s\":";
+        append_number(out, span);
+        append_field(out, "count", w->count_last(span));
+        append_field(out, "rate_per_s", w->rate_per_s(span));
+        append_field(out, "late_dropped", w->late_dropped());
+        if (w->config().reservoir > 0)
+            for (std::size_t i = 0; i < kSketchQuantileCount; ++i)
+                append_field(out, kQuantileKeys[i],
+                             w->quantile_last(span, kSketchQuantiles[i]));
+        out += '}';
+    }
+    out += "},\"slo\":[";
+    first = true;
+    for (const auto& [name, mon] : r.slos) {
+        // Evaluated before the recorder tail is read, so a breach found
+        // here is in this snapshot's recorder section.
+        const SloVerdict v = mon->evaluate();
+        if (!first) out += ',';
+        first = false;
+        out += "{\"name\":\"" + name + "\",\"spec\":\"" +
+               mon->spec().to_spec() + "\",\"state\":\"" + to_string(v.state) +
+               '"';
+        append_field(out, "availability_breach", v.availability_breach);
+        append_field(out, "latency_breach", v.latency_breach);
+        append_field(out, "fast_burn", v.fast_burn);
+        append_field(out, "slow_burn", v.slow_burn);
+        append_field(out, "availability_fast_pct", v.availability_fast_pct);
+        append_field(out, "availability_slow_pct", v.availability_slow_pct);
+        append_field(out, "latency_fast_us", v.latency_fast_us);
+        append_field(out, "latency_slow_us", v.latency_slow_us);
+        append_field(out, "requests_fast", v.requests_fast);
+        append_field(out, "requests_slow", v.requests_slow);
+        out += '}';
+    }
+    out += "],\"recorder\":";
+    out += flight_to_json(kSnapshotRecorderTail);
+    out += '}';
     return out;
 }
 
-[[nodiscard]] Status write_metrics_json(const std::string& path) {
-    const std::string json = metrics_to_json() + "\n";
+[[nodiscard]] Status write_telemetry_snapshot(const std::string& path) {
+    const std::string json = telemetry_snapshot_json() + "\n";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return Status(StatusCode::kIoError,
-                      "write_metrics_json: cannot open " + path);
+                      "write_telemetry_snapshot: cannot open " + path);
     const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
     if (written != json.size())
         return Status(StatusCode::kIoError,
-                      "write_metrics_json: short write to " + path);
+                      "write_telemetry_snapshot: short write to " + path);
     return Status::ok();
 }
 

@@ -1,33 +1,44 @@
-// Runtime-gated metric registry: counters, gauges, and fixed-bucket
-// histograms for the observability layer (DESIGN.md §14).
+// Runtime-gated telemetry registry: counters and gauges here, plus the
+// sketches, windows and SLO monitors of common/telemetry/ (DESIGN.md §14,
+// §19). One process-wide registry owns every instrument, keyed by name.
 //
 // Design constraints, shared with common/trace.hpp:
 //
 //   - Disabled cost is one relaxed atomic load and a branch per recording
 //     call — no allocation, no locking — so instrumented hot paths stay
 //     inside their noalloc lint regions.
-//   - Instrument *creation* (obs_counter / obs_gauge / obs_histogram) takes
-//     a registry lock and may allocate; call sites hoist the returned
-//     reference out of their hot loops (typically a function-local static
-//     or a one-time lookup at function entry). Handles are stable for the
-//     process lifetime.
-//   - Recording is an atomic add / store: deterministic totals at any
-//     thread count (counters are sums; histograms are per-bucket sums),
-//     never an influence on computed outputs.
-//   - Histograms have fixed bucket edges set at creation; counts are
-//     pre-sized, so observe() never allocates.
+//   - Instrument *creation* (obs_counter / obs_gauge / obs_sketch /
+//     obs_window / obs_slo) takes the registry lock and may allocate; call
+//     sites hoist the returned reference out of their hot loops (typically
+//     a function-local static or a one-time lookup at function entry).
+//     Handles are stable for the process lifetime.
+//   - Recording is an atomic add / store or a short spinlocked update:
+//     deterministic totals at any thread count, never an influence on
+//     computed outputs.
 //
-// Export is a compact JSON object (counters / gauges / histograms, sorted
-// by name) embedded into BENCH_<name>.json by bench::BenchReport and
-// writable standalone via write_metrics_json().
+// The one export is the telemetry snapshot: one JSON document with every
+// registered instrument and the flight-recorder tail (DESIGN.md §19).
+//
+//   {"schema":   "wifisense.telemetry_snapshot/v2",
+//    "metrics":  {"counters": {"name": N, ...}, "gauges": {"name": X, ...}},
+//    "sketches": {"name": {"count":N,"min":..,"max":..,"sum":..,
+//                          "p50":..,"p90":..,"p99":..,"p999":..}, ...},
+//    "windows":  {"name": {"window_s":..,"count":N,"rate_per_s":..,
+//                          "late_dropped":N[,"p50":..,...,"p999":..]}, ...},
+//    "slo":      [{"name":..,"state":"ok"|"warn"|"breach", ...}, ...],
+//    "recorder": {"dropped":N,"events":[...]}}
+//
+// Names are sorted within each section; windows with a reservoir carry the
+// four quantile keys. tools/check_snapshot.py validates this shape in CI.
+// WIFISENSE_SNAPSHOT=path (or --snapshot-out= in quickstart and every
+// bench) arms metrics + the flight recorder and writes the snapshot at exit
+// (configure_observability in common/trace.hpp).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.hpp"
 
@@ -45,22 +56,34 @@ inline bool metrics_enabled() {
 
 void metrics_enable();
 void metrics_disable();
-/// Zero every registered instrument (registrations and handles survive).
+/// Zero every registered instrument — counters, gauges, sketches, windows
+/// and SLO monitors (registrations and handles survive).
 void metrics_reset();
+
+/// CAS spinlock for the instruments whose recording paths must not take an
+/// OS mutex: no heap, no syscall, held for a few stores.
+class SpinLock {
+public:
+    void lock() noexcept {
+        while (flag_.exchange(1, std::memory_order_acquire) != 0) {
+        }
+    }
+    void unlock() noexcept { flag_.store(0, std::memory_order_release); }
+
+private:
+    std::atomic<std::uint32_t> flag_{0};
+};
 
 /// Monotonic event count.
 class Counter {
 public:
-    explicit Counter(std::string name) : name_(std::move(name)) {}
     void add(std::uint64_t n = 1) {
         if (metrics_enabled()) value_.fetch_add(n, std::memory_order_relaxed);
     }
     std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
     void reset() { value_.store(0, std::memory_order_relaxed); }
-    const std::string& name() const { return name_; }
 
 private:
-    std::string name_;
     std::atomic<std::uint64_t> value_{0};
 };
 
@@ -69,7 +92,6 @@ private:
 /// already forbids for anything output-bearing.
 class Gauge {
 public:
-    explicit Gauge(std::string name) : name_(std::move(name)) {}
     void set(double v) {
         if (metrics_enabled())
             bits_.store(bit_cast_u64(v), std::memory_order_relaxed);
@@ -78,7 +100,6 @@ public:
         return bit_cast_double(bits_.load(std::memory_order_relaxed));
     }
     void reset() { bits_.store(0, std::memory_order_relaxed); }
-    const std::string& name() const { return name_; }
 
 private:
     static std::uint64_t bit_cast_u64(double d) {
@@ -92,105 +113,19 @@ private:
         return d;
     }
 
-    std::string name_;
     std::atomic<std::uint64_t> bits_{0};  ///< IEEE-754 bits; 0 == 0.0
 };
 
-/// Fixed-bucket histogram: `edges` are the ascending upper bounds of the
-/// first N buckets; one overflow bucket catches everything above the last
-/// edge. observe(v) lands v in the first bucket whose edge is >= v.
-/// Out-of-range observations are additionally tallied explicitly:
-/// underflow counts v below the first edge (they land in bucket 0, which
-/// otherwise hides them among legitimately small values), overflow counts
-/// v above the last edge (the catch-all bucket, named in the export so a
-/// saturated edge table is visible instead of silent).
-class Histogram {
-public:
-    Histogram(std::string name, std::span<const double> edges);
-
-    void observe(double v) {
-        if (!metrics_enabled()) return;
-        if (!edges_.empty()) {
-            // NaN fails both comparisons and is counted in neither.
-            if (v < edges_.front())
-                underflow_.fetch_add(1, std::memory_order_relaxed);
-            else if (v > edges_.back())
-                overflow_.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::size_t lo = 0, hi = edges_.size();
-        while (lo < hi) {  // first edge >= v (upper_bound on <)
-            const std::size_t mid = (lo + hi) / 2;
-            if (edges_[mid] < v)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        counts_[lo].fetch_add(1, std::memory_order_relaxed);
-        // Compare-and-swap accumulation: std::atomic<double>::fetch_add is
-        // C++20 but the CAS loop is portable and the slow path is rare.
-        std::uint64_t expected = sum_bits_.load(std::memory_order_relaxed);
-        for (;;) {
-            double cur;
-            __builtin_memcpy(&cur, &expected, sizeof cur);
-            const double next = cur + v;
-            std::uint64_t next_bits;
-            __builtin_memcpy(&next_bits, &next, sizeof next_bits);
-            if (sum_bits_.compare_exchange_weak(expected, next_bits,
-                                                std::memory_order_relaxed))
-                break;
-        }
-    }
-
-    const std::vector<double>& edges() const { return edges_; }
-    /// Per-bucket counts; index edges().size() is the overflow bucket.
-    std::uint64_t bucket_count(std::size_t i) const {
-        return counts_[i].load(std::memory_order_relaxed);
-    }
-    std::uint64_t total_count() const;
-    /// Observations below the first edge (clamped into bucket 0).
-    std::uint64_t underflow_count() const {
-        return underflow_.load(std::memory_order_relaxed);
-    }
-    /// Observations above the last edge (in the catch-all bucket).
-    std::uint64_t overflow_count() const {
-        return overflow_.load(std::memory_order_relaxed);
-    }
-    double sum() const {
-        const std::uint64_t bits = sum_bits_.load(std::memory_order_relaxed);
-        double d;
-        __builtin_memcpy(&d, &bits, sizeof d);
-        return d;
-    }
-    void reset();
-    const std::string& name() const { return name_; }
-
-private:
-    std::string name_;
-    std::vector<double> edges_;
-    std::vector<std::atomic<std::uint64_t>> counts_;  ///< edges.size() + 1
-    std::atomic<std::uint64_t> sum_bits_{0};
-    std::atomic<std::uint64_t> underflow_{0};
-    std::atomic<std::uint64_t> overflow_{0};
-};
-
-/// Microsecond latency bucket edges shared by the predict/step histograms.
-inline constexpr double kLatencyBucketsUs[] = {
-    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
-    5000.0, 10000.0, 25000.0, 50000.0, 100000.0, 250000.0};
-
 /// Registry lookup-or-create (process-wide, mutex-guarded, may allocate on
 /// first use — hoist the reference out of hot loops). Names are unique per
-/// instrument kind; re-registering a histogram name keeps the first edges.
+/// instrument kind.
 Counter& obs_counter(std::string_view name);
 Gauge& obs_gauge(std::string_view name);
-Histogram& obs_histogram(std::string_view name, std::span<const double> edges);
 
-/// Compact single-line JSON of every registered instrument:
-/// {"counters":{...},"gauges":{...},"histograms":{"h":{"edges":[...],
-/// "counts":[...],"count":N,"sum":S}}} — names sorted, deterministic.
-std::string metrics_to_json();
+/// Render the snapshot document (single line, deterministic section order).
+std::string telemetry_snapshot_json();
 
-/// Write metrics_to_json() (plus a trailing newline) to `path`.
-[[nodiscard]] Status write_metrics_json(const std::string& path);
+/// Write telemetry_snapshot_json() (plus a trailing newline) to `path`.
+[[nodiscard]] Status write_telemetry_snapshot(const std::string& path);
 
 }  // namespace wifisense::common

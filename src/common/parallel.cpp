@@ -18,6 +18,9 @@ namespace {
 /// >0 while the current thread is executing tasks of a parallel region.
 thread_local int tl_region_depth = 0;
 
+/// True on the pool's worker threads (never on a region's calling thread).
+thread_local bool tl_pool_worker = false;
+
 /// One parallel region: a batch of `n` tasks drained via an atomic cursor.
 /// The task is a raw function pointer + opaque context (not std::function),
 /// so posting a region never touches the heap.
@@ -150,6 +153,7 @@ private:
     }
 
     void worker_loop() {
+        tl_pool_worker = true;
         for (;;) {
             Job* job = nullptr;
             {
@@ -259,14 +263,21 @@ void run_chunks_erased(std::size_t n, std::size_t chunk_size,
     ThreadPool::instance().run_region(
         chunks,
         +[](const void* p, std::size_t c) {
-            // Each fanned-out chunk records one span on the worker that ran
-            // it, so spans emitted inside `body` nest under their chunk in
-            // the trace viewer (the inline path needs no marker: it already
-            // runs nested under the caller's spans on the caller's thread).
-            TraceScope span("pool.chunk");
             const auto& cc = *static_cast<const ChunkCtx*>(p);
             const std::size_t begin = c * cc.chunk_size;
-            cc.body(cc.body_ctx, begin, std::min(cc.n, begin + cc.chunk_size));
+            const std::size_t end = std::min(cc.n, begin + cc.chunk_size);
+            // A chunk a worker runs records one span on that worker, so
+            // spans emitted inside `body` nest under their chunk in the
+            // trace viewer. A chunk the calling thread drains itself needs
+            // no marker, as on the inline path: it already runs nested under
+            // the caller's spans, and a span per chunk there would push the
+            // caller's own spans out of its ring.
+            if (tl_pool_worker) {
+                TraceScope span("pool.chunk");
+                cc.body(cc.body_ctx, begin, end);
+            } else {
+                cc.body(cc.body_ctx, begin, end);
+            }
         },
         &chunk_ctx);
 }

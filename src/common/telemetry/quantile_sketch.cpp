@@ -1,10 +1,9 @@
 #include "common/telemetry/quantile_sketch.hpp"
 
 #include <algorithm>
+#include <mutex>
 
 namespace wifisense::common {
-
-QuantileSketch::QuantileSketch(std::string name) : name_(std::move(name)) {}
 
 void QuantileSketch::compact(std::size_t h) {
     constexpr std::size_t kHalf = kSketchLevelCapacity / 2;
@@ -31,7 +30,7 @@ void QuantileSketch::compact(std::size_t h) {
 void QuantileSketch::observe(double v) {
     if (!metrics_enabled()) return;
     if (!(v == v)) return;  // NaN has no place in the sort order
-    lock_spin();
+    std::lock_guard guard(lock_);
     const std::uint64_t n = count_.load(std::memory_order_relaxed);
     if (n == 0) {
         min_ = v;
@@ -49,7 +48,6 @@ void QuantileSketch::observe(double v) {
             compact(h);
     }
     count_.store(n + 1, std::memory_order_relaxed);
-    unlock_spin();
 }
 
 double QuantileSketch::quantile_locked(double q) const {
@@ -98,35 +96,27 @@ double QuantileSketch::quantile_locked(double q) const {
 }
 
 double QuantileSketch::estimate(std::size_t i) const {
-    lock_spin();
-    const double v = quantile_locked(kSketchQuantiles[i]);
-    unlock_spin();
-    return v;
+    std::lock_guard guard(lock_);
+    return quantile_locked(kSketchQuantiles[i]);
 }
 
 double QuantileSketch::min() const {
-    lock_spin();
-    const double v = min_;
-    unlock_spin();
-    return v;
+    std::lock_guard guard(lock_);
+    return min_;
 }
 
 double QuantileSketch::max() const {
-    lock_spin();
-    const double v = max_;
-    unlock_spin();
-    return v;
+    std::lock_guard guard(lock_);
+    return max_;
 }
 
 double QuantileSketch::sum() const {
-    lock_spin();
-    const double v = sum_;
-    unlock_spin();
-    return v;
+    std::lock_guard guard(lock_);
+    return sum_;
 }
 
 void QuantileSketch::reset() {
-    lock_spin();
+    std::lock_guard guard(lock_);
     count_.store(0, std::memory_order_relaxed);
     min_ = 0.0;
     max_ = 0.0;
@@ -134,7 +124,6 @@ void QuantileSketch::reset() {
     offsets_ = 0;
     height_ = 1;
     std::fill(std::begin(size_), std::end(size_), 0u);
-    unlock_spin();
 }
 
 }  // namespace wifisense::common

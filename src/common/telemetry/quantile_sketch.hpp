@@ -29,7 +29,7 @@
 // nothing has been compacted and every estimate is the exact interpolated
 // sample quantile.
 //
-// Concurrency: observe() serializes through a tiny CAS spinlock
+// Concurrency: observe() serializes through common::SpinLock
 // (std::atomic exchange / store — no heap, no OS mutex). Sketch estimates
 // are observational only and never feed back into computed outputs, so
 // cross-thread interleaving of observations is allowed to perturb the
@@ -43,10 +43,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
-#include "common/metrics.hpp"  // metrics_enabled() gate
+#include "common/metrics.hpp"  // metrics_enabled() gate, SpinLock
 
 namespace wifisense::common {
 
@@ -69,8 +68,6 @@ static_assert(kSketchLevelCapacityLog2 + kSketchLevels - 1 >= 64);
 /// contracts; query methods are registry-export-time conveniences.
 class QuantileSketch {
 public:
-    explicit QuantileSketch(std::string name);
-
     /// Record one sample. NaN observations are dropped (they would poison
     /// the sort order). Proven `noalloc, noexcept, noclock, det` — see the
     /// lint contract at the definition.
@@ -87,22 +84,14 @@ public:
     [[nodiscard]] double max() const;
     [[nodiscard]] double sum() const;
     void reset();
-    [[nodiscard]] const std::string& name() const { return name_; }
 
 private:
-    void lock_spin() const {
-        while (lock_.exchange(1, std::memory_order_acquire) != 0) {
-        }
-    }
-    void unlock_spin() const { lock_.store(0, std::memory_order_release); }
-
     /// Promote every other sample of full, sorted level h into level h+1.
     void compact(std::size_t h);
     /// Interpolated q-quantile of the retained samples; caller holds the lock.
     [[nodiscard]] double quantile_locked(double q) const;
 
-    std::string name_;
-    mutable std::atomic<std::uint32_t> lock_{0};
+    mutable SpinLock lock_;
     std::atomic<std::uint64_t> count_{0};
     double min_ = 0.0;
     double max_ = 0.0;
@@ -113,14 +102,8 @@ private:
     double levels_[kSketchLevels][kSketchLevelCapacity] = {};
 };
 
-/// Registry lookup-or-create, alongside obs_counter / obs_gauge /
-/// obs_histogram (defined in common/metrics.cpp — one registry, one export
-/// order). May allocate on first use; hoist out of hot loops.
+/// Registry lookup-or-create (defined in common/metrics.cpp, beside the
+/// other instruments). May allocate on first use; hoist out of hot loops.
 QuantileSketch& obs_sketch(std::string_view name);
-
-/// Compact JSON of every registered sketch:
-/// {"name":{"count":N,"min":..,"max":..,"sum":..,"p50":..,...}} — names
-/// sorted, deterministic. Consumed by the telemetry snapshot.
-std::string sketches_to_json();
 
 }  // namespace wifisense::common

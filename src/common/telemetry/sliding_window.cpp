@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/rng.hpp"
 
@@ -31,15 +32,16 @@ std::size_t span_epochs(double seconds, const WindowConfig& cfg) {
 
 }  // namespace
 
-WindowedCounter::WindowedCounter(std::string name, const WindowConfig& cfg)
-    : name_(std::move(name)), cfg_(cfg) {
+SlidingWindow::SlidingWindow(const WindowConfig& cfg) : cfg_(cfg) {
     if (cfg_.epochs == 0) cfg_.epochs = 1;
     if (!(cfg_.epoch_seconds > 0.0)) cfg_.epoch_seconds = 1.0;
     counts_.assign(cfg_.epochs, 0);
+    samples_.assign(cfg_.epochs * cfg_.reservoir, 0.0);
+    scratch_.reserve(cfg_.epochs * cfg_.reservoir);
 }
 
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
-bool WindowedCounter::advance(std::int64_t epoch) {
+bool SlidingWindow::advance(std::int64_t epoch) {
     if (!has_epoch_) {
         has_epoch_ = true;
         newest_epoch_ = epoch;
@@ -60,20 +62,46 @@ bool WindowedCounter::advance(std::int64_t epoch) {
 }
 
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
-void WindowedCounter::add(double stream_t, std::uint64_t n) {
+void SlidingWindow::record(double stream_t, std::uint64_t n,
+                           const double* sample) {
     if (!metrics_enabled()) return;
     if (!(stream_t == stream_t)) return;  // NaN time has no epoch
     const std::int64_t e = epoch_of(stream_t, cfg_.epoch_seconds);
-    lock_spin();
-    if (advance(e))
-        counts_[slot_of(e, cfg_.epochs)] += n;
-    else
+    std::lock_guard guard(lock_);
+    if (!advance(e)) {
         late_dropped_.fetch_add(1, std::memory_order_relaxed);
-    unlock_spin();
+        return;
+    }
+    const std::size_t slot = slot_of(e, cfg_.epochs);
+    std::uint64_t& seen = counts_[slot];
+    if (sample != nullptr && cfg_.reservoir > 0) {
+        double* reservoir = samples_.data() + slot * cfg_.reservoir;
+        if (seen < cfg_.reservoir) {
+            reservoir[seen] = *sample;
+        } else {
+            // Algorithm R with a deterministic substream draw: the sample's
+            // fate is a pure function of (seed, epoch, arrival index).
+            const std::uint64_t draw = splitmix64(
+                substream_seed(cfg_.seed, static_cast<std::uint64_t>(e)) + seen);
+            const std::uint64_t j = draw % (seen + 1);
+            if (j < cfg_.reservoir) reservoir[j] = *sample;
+        }
+    }
+    seen += n;
 }
 
-[[nodiscard]] std::uint64_t WindowedCounter::sum_last(double seconds) const {
-    lock_spin();
+// wifisense-lint: requires(noalloc, noexcept, noclock, det)
+void SlidingWindow::add(double stream_t, std::uint64_t n) {
+    record(stream_t, n, nullptr);
+}
+
+// wifisense-lint: requires(noalloc, noexcept, noclock, det)
+void SlidingWindow::observe(double stream_t, double v) {
+    if (v == v) record(stream_t, 1, &v);
+}
+
+[[nodiscard]] std::uint64_t SlidingWindow::count_last(double seconds) const {
+    std::lock_guard guard(lock_);
     std::uint64_t total = 0;
     if (has_epoch_) {
         const std::size_t k = span_epochs(seconds, cfg_);
@@ -81,141 +109,45 @@ void WindowedCounter::add(double stream_t, std::uint64_t n) {
             total += counts_[slot_of(newest_epoch_ - static_cast<std::int64_t>(i),
                                      cfg_.epochs)];
     }
-    unlock_spin();
     return total;
 }
 
-[[nodiscard]] double WindowedCounter::rate_per_s(double seconds) const {
+[[nodiscard]] double SlidingWindow::rate_per_s(double seconds) const {
     const double span = static_cast<double>(span_epochs(seconds, cfg_)) *
                         cfg_.epoch_seconds;
-    return span > 0.0 ? static_cast<double>(sum_last(seconds)) / span : 0.0;
+    return span > 0.0 ? static_cast<double>(count_last(seconds)) / span : 0.0;
 }
 
-[[nodiscard]] std::uint64_t WindowedCounter::total() const {
-    return sum_last(static_cast<double>(cfg_.epochs) * cfg_.epoch_seconds);
-}
-
-void WindowedCounter::reset() {
-    lock_spin();
-    std::fill(counts_.begin(), counts_.end(), std::uint64_t{0});
-    has_epoch_ = false;
-    newest_epoch_ = 0;
-    late_dropped_.store(0, std::memory_order_relaxed);
-    unlock_spin();
-}
-
-WindowedQuantile::WindowedQuantile(std::string name, const WindowConfig& cfg)
-    : name_(std::move(name)), cfg_(cfg) {
-    if (cfg_.epochs == 0) cfg_.epochs = 1;
-    if (cfg_.reservoir == 0) cfg_.reservoir = 1;
-    if (!(cfg_.epoch_seconds > 0.0)) cfg_.epoch_seconds = 1.0;
-    epochs_.assign(cfg_.epochs, Epoch{});
-    samples_.assign(cfg_.epochs * cfg_.reservoir, 0.0);
-    scratch_.reserve(cfg_.epochs * cfg_.reservoir);
-}
-
-// wifisense-lint: requires(noalloc, noexcept, noclock, det)
-bool WindowedQuantile::advance(std::int64_t epoch) {
-    if (!has_epoch_) {
-        has_epoch_ = true;
-        newest_epoch_ = epoch;
-        return true;
-    }
-    if (epoch > newest_epoch_) {
-        const std::int64_t jump = epoch - newest_epoch_;
-        if (jump >= static_cast<std::int64_t>(cfg_.epochs)) {
-            for (Epoch& e : epochs_) e.seen = 0;
-        } else {
-            for (std::int64_t e = newest_epoch_ + 1; e <= epoch; ++e)
-                epochs_[slot_of(e, cfg_.epochs)].seen = 0;
-        }
-        newest_epoch_ = epoch;
-        return true;
-    }
-    return newest_epoch_ - epoch < static_cast<std::int64_t>(cfg_.epochs);
-}
-
-// wifisense-lint: requires(noalloc, noexcept, noclock, det)
-void WindowedQuantile::observe(double stream_t, double v) {
-    if (!metrics_enabled()) return;
-    if (!(v == v) || !(stream_t == stream_t)) return;
-    const std::int64_t e = epoch_of(stream_t, cfg_.epoch_seconds);
-    lock_spin();
-    if (!advance(e)) {
-        late_dropped_.fetch_add(1, std::memory_order_relaxed);
-        unlock_spin();
-        return;
-    }
-    const std::size_t slot = slot_of(e, cfg_.epochs);
-    Epoch& ep = epochs_[slot];
-    double* reservoir = samples_.data() + slot * cfg_.reservoir;
-    if (ep.seen < cfg_.reservoir) {
-        reservoir[ep.seen] = v;
-    } else {
-        // Algorithm R with a deterministic substream draw: the candidate's
-        // fate is a pure function of (seed, epoch, arrival index).
-        const std::uint64_t draw =
-            splitmix64(substream_seed(cfg_.seed, static_cast<std::uint64_t>(e)) +
-                       ep.seen);
-        const std::uint64_t j = draw % (ep.seen + 1);
-        if (j < cfg_.reservoir) reservoir[j] = v;
-    }
-    ep.seen++;
-    unlock_spin();
-}
-
-[[nodiscard]] double WindowedQuantile::quantile_last(double seconds,
-                                                     double q) const {
-    lock_spin();
+[[nodiscard]] double SlidingWindow::quantile_last(double seconds,
+                                                  double q) const {
+    std::lock_guard guard(lock_);
     scratch_.clear();
     if (has_epoch_) {
         const std::size_t k = span_epochs(seconds, cfg_);
         for (std::size_t i = 0; i < k; ++i) {
             const std::size_t slot = slot_of(
                 newest_epoch_ - static_cast<std::int64_t>(i), cfg_.epochs);
-            const Epoch& ep = epochs_[slot];
-            const std::size_t kept =
-                ep.seen < cfg_.reservoir ? static_cast<std::size_t>(ep.seen)
-                                         : cfg_.reservoir;
+            const std::size_t kept = static_cast<std::size_t>(
+                std::min<std::uint64_t>(counts_[slot], cfg_.reservoir));
             const double* reservoir = samples_.data() + slot * cfg_.reservoir;
-            for (std::size_t s = 0; s < kept; ++s)
-                scratch_.push_back(reservoir[s]);
+            scratch_.insert(scratch_.end(), reservoir, reservoir + kept);
         }
     }
-    double out = 0.0;
-    if (!scratch_.empty()) {
-        std::sort(scratch_.begin(), scratch_.end());
-        const double clamped = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-        std::size_t idx = static_cast<std::size_t>(
-            clamped * static_cast<double>(scratch_.size()));
-        if (idx >= scratch_.size()) idx = scratch_.size() - 1;
-        out = scratch_[idx];
-    }
-    unlock_spin();
-    return out;
+    if (scratch_.empty()) return 0.0;
+    std::sort(scratch_.begin(), scratch_.end());
+    const double clamped = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
+    std::size_t idx =
+        static_cast<std::size_t>(clamped * static_cast<double>(scratch_.size()));
+    if (idx >= scratch_.size()) idx = scratch_.size() - 1;
+    return scratch_[idx];
 }
 
-[[nodiscard]] std::uint64_t WindowedQuantile::count_last(double seconds) const {
-    lock_spin();
-    std::uint64_t total = 0;
-    if (has_epoch_) {
-        const std::size_t k = span_epochs(seconds, cfg_);
-        for (std::size_t i = 0; i < k; ++i)
-            total += epochs_[slot_of(newest_epoch_ - static_cast<std::int64_t>(i),
-                                     cfg_.epochs)]
-                         .seen;
-    }
-    unlock_spin();
-    return total;
-}
-
-void WindowedQuantile::reset() {
-    lock_spin();
-    for (Epoch& e : epochs_) e.seen = 0;
+void SlidingWindow::reset() {
+    std::lock_guard guard(lock_);
+    std::fill(counts_.begin(), counts_.end(), std::uint64_t{0});
     has_epoch_ = false;
     newest_epoch_ = 0;
     late_dropped_.store(0, std::memory_order_relaxed);
-    unlock_spin();
 }
 
 }  // namespace wifisense::common

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <memory>
-#include <mutex>
 
 #include "common/telemetry/flight_recorder.hpp"
 
@@ -13,11 +10,12 @@ namespace wifisense::common {
 
 namespace {
 
-WindowConfig monitor_window(const SloSpec& spec) {
+WindowConfig monitor_window(const SloSpec& spec, std::size_t reservoir) {
     WindowConfig cfg;
     cfg.epoch_seconds = 1.0;
     const double span = std::max(spec.slow_window_s, spec.fast_window_s);
     cfg.epochs = span > 1.0 ? static_cast<std::size_t>(span + 0.5) : 1;
+    cfg.reservoir = reservoir;
     return cfg;
 }
 
@@ -32,22 +30,6 @@ double burn_rate(std::uint64_t errors, std::uint64_t total,
     const double budget = 1.0 - availability_pct / 100.0;
     if (budget <= 0.0) return err_frac > 0.0 ? 1e9 : 0.0;
     return err_frac / budget;
-}
-
-struct SloRegistry {
-    std::mutex mu;
-    std::map<std::string, std::unique_ptr<SloMonitor>, std::less<>> monitors;
-};
-
-SloRegistry& slo_registry() {
-    static SloRegistry r;
-    return r;
-}
-
-void append_double(std::string& out, double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
 }
 
 }  // namespace
@@ -162,9 +144,9 @@ void append_double(std::string& out, double v) {
 
 SloMonitor::SloMonitor(SloSpec spec)
     : spec_(std::move(spec)),
-      total_("slo." + spec_.name + ".total", monitor_window(spec_)),
-      errors_("slo." + spec_.name + ".errors", monitor_window(spec_)),
-      latency_("slo." + spec_.name + ".latency_us", monitor_window(spec_)) {}
+      total_(monitor_window(spec_, 0)),
+      errors_(monitor_window(spec_, 0)),
+      latency_(monitor_window(spec_, kLatencyReservoir)) {}
 
 // wifisense-lint: requires(noalloc, noexcept)
 void SloMonitor::record(double stream_t, double latency_us, bool ok) {
@@ -178,10 +160,10 @@ void SloMonitor::record(double stream_t, double latency_us, bool ok) {
 
 [[nodiscard]] SloVerdict SloMonitor::evaluate() const {
     SloVerdict v;
-    v.requests_fast = total_.sum_last(spec_.fast_window_s);
-    v.requests_slow = total_.sum_last(spec_.slow_window_s);
-    const std::uint64_t err_fast = errors_.sum_last(spec_.fast_window_s);
-    const std::uint64_t err_slow = errors_.sum_last(spec_.slow_window_s);
+    v.requests_fast = total_.count_last(spec_.fast_window_s);
+    v.requests_slow = total_.count_last(spec_.slow_window_s);
+    const std::uint64_t err_fast = errors_.count_last(spec_.fast_window_s);
+    const std::uint64_t err_slow = errors_.count_last(spec_.slow_window_s);
     if (v.requests_fast > 0)
         v.availability_fast_pct =
             100.0 * static_cast<double>(v.requests_fast - err_fast) /
@@ -229,52 +211,6 @@ void SloMonitor::reset() {
     errors_.reset();
     latency_.reset();
     last_t_ = 0.0;
-}
-
-SloMonitor& obs_slo(const SloSpec& spec) {
-    SloRegistry& r = slo_registry();
-    std::lock_guard lock(r.mu);
-    auto it = r.monitors.find(spec.name);
-    if (it == r.monitors.end())
-        it = r.monitors.emplace(spec.name, std::make_unique<SloMonitor>(spec))
-                 .first;
-    return *it->second;
-}
-
-std::string slo_verdicts_to_json() {
-    SloRegistry& r = slo_registry();
-    std::lock_guard lock(r.mu);
-    std::string out = "[";
-    bool first = true;
-    for (const auto& [name, mon] : r.monitors) {
-        const SloVerdict v = mon->evaluate();
-        if (!first) out += ',';
-        first = false;
-        out += "{\"name\":\"" + name + "\",\"spec\":\"" +
-               mon->spec().to_spec() + "\",\"state\":\"";
-        out += to_string(v.state);
-        out += "\",\"availability_breach\":";
-        out += v.availability_breach ? "true" : "false";
-        out += ",\"latency_breach\":";
-        out += v.latency_breach ? "true" : "false";
-        out += ",\"fast_burn\":";
-        append_double(out, v.fast_burn);
-        out += ",\"slow_burn\":";
-        append_double(out, v.slow_burn);
-        out += ",\"availability_fast_pct\":";
-        append_double(out, v.availability_fast_pct);
-        out += ",\"availability_slow_pct\":";
-        append_double(out, v.availability_slow_pct);
-        out += ",\"latency_fast_us\":";
-        append_double(out, v.latency_fast_us);
-        out += ",\"latency_slow_us\":";
-        append_double(out, v.latency_slow_us);
-        out += ",\"requests_fast\":" + std::to_string(v.requests_fast);
-        out += ",\"requests_slow\":" + std::to_string(v.requests_slow);
-        out += '}';
-    }
-    out += "]";
-    return out;
 }
 
 std::string format_verdict_table(const SloSpec& spec, const SloVerdict& v) {

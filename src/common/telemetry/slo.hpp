@@ -17,8 +17,8 @@
 // both windows to breach.
 //
 // SloMonitor::record() sits on the serving path and holds the
-// `requires(noalloc, noexcept)` contract (it feeds windowed counters and a
-// windowed reservoir — all fixed memory). evaluate() is an export-time
+// `requires(noalloc, noexcept)` contract (it feeds two counting windows and
+// one sampling window — all fixed memory). evaluate() is an export-time
 // call: it may allocate, and on a breach it drops an "slo" event into the
 // flight recorder so the snapshot shows *when* the budget died.
 #pragma once
@@ -95,19 +95,16 @@ public:
 
 private:
     SloSpec spec_;
-    WindowedCounter total_;
-    WindowedCounter errors_;  ///< !ok requests (availability objective)
-    WindowedQuantile latency_;
+    SlidingWindow total_;
+    SlidingWindow errors_;  ///< !ok requests (availability objective)
+    SlidingWindow latency_;
     double last_t_ = 0.0;
 };
 
-/// Registry lookup-or-create by spec.name (first registration wins, like
-/// the histogram edges). Enumerated by the telemetry snapshot.
+/// Registry lookup-or-create by spec.name (defined in common/metrics.cpp;
+/// the first registration's spec wins). metrics_reset() resets registered
+/// monitors, and the telemetry snapshot exports their verdicts.
 SloMonitor& obs_slo(const SloSpec& spec);
-
-/// JSON array of every registered monitor's verdict, names sorted:
-/// [{"name":..,"state":"ok",...},...]. Consumed by the snapshot export.
-std::string slo_verdicts_to_json();
 
 /// Render a human-readable verdict table (quickstart --slo output).
 std::string format_verdict_table(const SloSpec& spec, const SloVerdict& v);

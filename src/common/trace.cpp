@@ -159,34 +159,61 @@ std::string trace_to_chrome_json() {
     return Status::ok();
 }
 
-ObservabilityEnv configure_observability_from_env() {
+ObservabilityEnv configure_observability(int& argc, char** argv) {
     ObservabilityEnv env;
+    bool trace = false;
+    bool snapshot = false;
     const auto parse = [](const char* value, bool* enabled, std::string* path) {
         if (value == nullptr || value[0] == '\0') return;
         if (std::string_view(value) == "0") return;
         *enabled = true;
         if (std::string_view(value) != "1") *path = value;
     };
-    parse(std::getenv("WIFISENSE_TRACE"), &env.trace, &env.trace_path);
-    parse(std::getenv("WIFISENSE_METRICS"), &env.metrics, &env.metrics_path);
-    parse(std::getenv("WIFISENSE_SNAPSHOT"), &env.snapshot, &env.snapshot_path);
-    if (const char* sample = std::getenv("WIFISENSE_TRACE_SAMPLE")) {
-        const long v = std::atol(sample);
-        if (v > 1) env.trace_sample_every = static_cast<std::size_t>(v);
+    parse(std::getenv("WIFISENSE_TRACE"), &trace, &env.trace_path);
+    parse(std::getenv("WIFISENSE_SNAPSHOT"), &snapshot, &env.snapshot_path);
+    int kept = 1;
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg(argv[i]);
+        if (arg.starts_with("--trace-out=")) {
+            trace = true;
+            env.trace_path = arg.substr(12);
+        } else if (arg.starts_with("--snapshot-out=")) {
+            snapshot = true;
+            env.snapshot_path = arg.substr(15);
+        } else {
+            argv[kept++] = argv[i];
+        }
     }
-    if (env.trace) {
+    argc = kept;
+    argv[argc] = nullptr;
+    if (trace) {
         TraceConfig cfg;
-        cfg.sample_every = env.trace_sample_every;
+        if (const char* sample = std::getenv("WIFISENSE_TRACE_SAMPLE")) {
+            const long v = std::atol(sample);
+            if (v > 1) cfg.sample_every = static_cast<std::size_t>(v);
+        }
         trace_enable(cfg);
     }
-    if (env.metrics) metrics_enable();
-    if (env.snapshot) {
+    if (snapshot) {
         // A snapshot is only useful with live instruments, so arming it arms
         // the metric registry and the flight recorder too.
         metrics_enable();
         flight_enable();
     }
     return env;
+}
+
+void write_observability_outputs(const ObservabilityEnv& env) {
+    const auto report = [](const std::string& path, const Status& st) {
+        if (st.is_ok())
+            std::printf("wrote %s\n", path.c_str());
+        else
+            std::fprintf(stderr, "export failed: %s\n", st.to_string().c_str());
+    };
+    if (!env.trace_path.empty())
+        report(env.trace_path, write_chrome_trace(env.trace_path));
+    if (!env.snapshot_path.empty())
+        report(env.snapshot_path, write_telemetry_snapshot(env.snapshot_path));
 }
 
 }  // namespace wifisense::common

@@ -4,7 +4,7 @@
 // data/simtime (the lint rules det.clock / obs.raw-clock enforce it). This
 // module is the one sanctioned exception: `trace_now_ns()` is the only
 // monotonic clock the tree may read, so every timing number — bench wall
-// clocks, span durations, latency histograms — flows through a single
+// clocks, span durations, latency sketches — flows through a single
 // lint-visible choke point that is guaranteed to never influence computed
 // outputs.
 //
@@ -149,27 +149,30 @@ inline void trace_instant(const char* name) {
     if (trace_enabled()) obsdetail::record_instant(name, trace_now_ns());
 }
 
-/// What configure_observability_from_env() found and enabled.
+/// The files a program run asked its observability outputs to go to
+/// ("" = none: not enabled, or kept in memory).
 struct ObservabilityEnv {
-    bool trace = false;           ///< tracing enabled via WIFISENSE_TRACE
-    std::string trace_path;       ///< output path ("" = in-memory only)
-    bool metrics = false;         ///< metrics enabled via WIFISENSE_METRICS
-    std::string metrics_path;     ///< output path ("" = embed in reports only)
-    bool snapshot = false;        ///< snapshot armed via WIFISENSE_SNAPSHOT
-    std::string snapshot_path;    ///< telemetry_snapshot output path
-    std::size_t trace_sample_every = 1;  ///< WIFISENSE_TRACE_SAMPLE (1-in-N)
+    std::string trace_path;     ///< Chrome-trace output
+    std::string snapshot_path;  ///< telemetry snapshot output
 };
 
-/// Apply the WIFISENSE_TRACE / WIFISENSE_METRICS environment variables,
-/// mirroring WIFISENSE_THREADS:
-///   WIFISENSE_TRACE=trace.json    enable tracing, export to trace.json
+/// Apply the observability environment, then the command-line flags, which
+/// win:
+///   WIFISENSE_TRACE=trace.json / --trace-out=trace.json
+///                                 enable tracing, export to trace.json
 ///   WIFISENSE_TRACE=1             enable tracing, keep events in memory
 ///   WIFISENSE_TRACE_SAMPLE=N      record only every N-th span per thread
-///   WIFISENSE_METRICS=metrics.json / =1   likewise for the metric registry
-///   WIFISENSE_SNAPSHOT=snap.json  arm metrics + the flight recorder and
-///                                 request a telemetry snapshot at snap.json
-///                                 (harness writes it at exit; =1 arms only)
-/// Unset, empty, or "0" leaves the corresponding subsystem untouched.
-ObservabilityEnv configure_observability_from_env();
+///   WIFISENSE_SNAPSHOT=snap.json / --snapshot-out=snap.json
+///                                 arm metrics + the flight recorder and
+///                                 write a telemetry snapshot at exit
+///                                 (WIFISENSE_SNAPSHOT=1 arms only)
+/// Unset, empty, or "0" leaves the corresponding subsystem untouched. The
+/// flags are removed from argv (argc shrinks), so the caller's own parser
+/// sees only its arguments. Call first thing in main().
+ObservabilityEnv configure_observability(int& argc, char** argv);
+
+/// Write the trace and snapshot files `env` names, reporting each on
+/// stdout (or the failure on stderr). Call at exit.
+void write_observability_outputs(const ObservabilityEnv& env);
 
 }  // namespace wifisense::common

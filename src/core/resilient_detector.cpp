@@ -54,13 +54,14 @@ void note_mode_transition(DetectorMode mode, double t) {
 
 /// Observability hook for one model inference: microsecond latency feeds the
 /// lifetime quantile sketch and the 60s sliding-window reservoir keyed on
-/// stream time. Registration runs once behind the function-local statics;
-/// the two observe() calls are proven noalloc/noexcept lint roots.
+/// stream time. The two observe() calls are proven noalloc/noexcept lint
+/// roots, and process() inherits their proofs through this function.
+// wifisense-lint: allow-call(obs_sketch, obs_window) registration runs once per process behind the function-local statics
 void note_predict_latency(double stream_t, double us) {
     static common::QuantileSketch& sketch =
         common::obs_sketch("resilient.predict_us");
-    static common::WindowedQuantile& window =
-        common::obs_windowed_quantile("resilient.predict_us");
+    static common::SlidingWindow& window = common::obs_window(
+        "resilient.predict_us", {.reservoir = common::kLatencyReservoir});
     sketch.observe(us);
     window.observe(stream_t, us);
 }
@@ -128,7 +129,7 @@ nn::TrainHistory ResilientDetector::fit(const data::DatasetView& train) {
 }
 
 // wifisense-lint: requires(noalloc, noexcept)
-// wifisense-lint: allow-call(obs_gauge, note_mode_transition, note_predict_latency, trace_now_ns) env-gated observability: gauge/sketch registration runs once per process behind function-local statics; transition events fire only on rare mode flips; the latency clock reads bracket predict_proba and never feed back into the decision
+// wifisense-lint: allow-call(obs_gauge, note_mode_transition, trace_now_ns) env-gated observability: gauge registration runs once per process behind function-local statics; transition events fire only on rare mode flips; the latency clock reads bracket predict_proba and never feed back into the decision
 DetectorDecision ResilientDetector::process(const Observation& obs) {
     if (!fitted_)
         // wifisense-lint: allow(ipa.throw-leak) precondition guard: fires only

@@ -75,8 +75,7 @@ FleetRunStats FleetSimulator::run(
             common::flight_record("fleet", "room-done", t_end,
                                   static_cast<double>(shards[room].size()),
                                   static_cast<double>(room));
-            common::obs_windowed_counter("fleet.rows")
-                .add(t_end, shards[room].size());
+            common::obs_window("fleet.rows").add(t_end, shards[room].size());
         }
         shards[room].clear();
         shards[room].shrink_to_fit();

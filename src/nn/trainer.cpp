@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/metrics.hpp"
+#include "common/telemetry/quantile_sketch.hpp"
 #include "common/trace.hpp"
 
 namespace wifisense::nn {
@@ -161,8 +162,6 @@ Matrix predict(Mlp& net, const Matrix& inputs, std::size_t batch_size) {
     net.set_training(false);
     if (inputs.rows() > 0)
         net.reserve_workspace(std::min(batch_size, inputs.rows()));
-    common::Histogram& obs_batch_us =
-        common::obs_histogram("predict.batch_us", common::kLatencyBucketsUs);
     Matrix out(inputs.rows(), net.output_size());
     for (std::size_t begin = 0; begin < inputs.rows(); begin += batch_size) {
         common::TraceScope batch_span("predict.batch");
@@ -173,8 +172,13 @@ Matrix predict(Mlp& net, const Matrix& inputs, std::size_t batch_size) {
         row_block_into(inputs, begin, count, block);
         const Matrix& y = net.forward_ws(block, /*cache=*/false);
         std::copy_n(y.data().data(), y.size(), out.data().data() + begin * out.cols());
-        if (t0 != 0)
+        if (t0 != 0) {
+            // Registered on first use with metrics on: a metrics-off run
+            // never takes the registry lock here.
+            static common::QuantileSketch& obs_batch_us =
+                common::obs_sketch("predict.batch_us");
             obs_batch_us.observe(common::trace_seconds_since(t0) * 1e6);
+        }
     }
     net.set_training(was_training);
     return out;

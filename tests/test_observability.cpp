@@ -9,8 +9,8 @@
 //      Chrome trace renders real stacks;
 //   4. counters are deterministic at any thread count (sums of per-chunk
 //      events whose decomposition is static);
-//   5. histogram bucket edges behave as documented (first edge >= v,
-//      overflow bucket above the last edge).
+//   5. batch inference latency lands in the predict.batch_us sketch only
+//      while metrics are on.
 //
 // Combined with test_nn_workspace.cpp (which proves the *uninstrumented*
 // steady-state step is allocation-free), probing the instrumentation
@@ -18,9 +18,9 @@
 // the step is exactly workspace ops + instrument ops.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -29,6 +29,7 @@
 #include "common/alloc_counter.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "common/telemetry/quantile_sketch.hpp"
 #include "common/trace.hpp"
 #include "envsim/simulation.hpp"
 #include "nn/loss.hpp"
@@ -104,13 +105,17 @@ TEST(TraceSpans, PoolWorkerSpansNestInsideCallerSpan) {
     common::trace_enable();
 
     std::vector<double> sink(4096, 0.0);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<std::size_t> worker_chunks{0};
     {
         common::TraceScope outer("test.outer");
         // 8 chunks on a 2-thread pool: forced through the erased fan-out
-        // path, whose per-chunk spans are recorded by whichever thread ran
-        // the chunk.
+        // path, whose per-chunk spans are recorded by the worker that ran
+        // the chunk (chunks the caller drains itself record none).
         common::parallel_for_chunks(sink.size(), 512,
                                     [&](std::size_t b, std::size_t e) {
+                                        if (std::this_thread::get_id() != caller)
+                                            worker_chunks.fetch_add(1);
                                         for (std::size_t i = b; i < e; ++i)
                                             sink[i] = static_cast<double>(i);
                                     });
@@ -126,11 +131,37 @@ TEST(TraceSpans, PoolWorkerSpansNestInsideCallerSpan) {
     for (const common::TraceEvent& e : events) {
         if (std::string_view(e.name) != "pool.chunk") continue;
         ++chunks;
+        EXPECT_NE(e.tid, outer->tid) << "caller-drained chunk recorded a span";
         EXPECT_GE(e.start_ns, outer->start_ns) << "chunk starts before caller";
         EXPECT_LE(e.end_ns, outer->end_ns) << "chunk outlives caller";
     }
-    EXPECT_EQ(chunks, 8u) << "every chunk of the fan-out records one span";
+    EXPECT_EQ(chunks, worker_chunks.load())
+        << "every chunk a worker ran records one span";
     EXPECT_EQ(common::trace_dropped_events(), 0u);
+}
+
+TEST(TraceSpans, CallerSpanSurvivesFanOutOnSmallRing) {
+    ObservabilityGuard guard;
+    common::set_execution_config({.threads = 2});
+    common::TraceConfig cfg;
+    cfg.events_per_thread = 64;  // minimum ring
+    common::trace_enable(cfg);
+
+    // A closed caller span, then a fan-out of far more chunks than the ring
+    // holds: the chunks the caller drains itself must not push its span out.
+    { common::TraceScope span("test.before_fan_out"); }
+    std::vector<double> sink(std::size_t{1} << 18, 0.0);
+    common::parallel_for_chunks(sink.size(), 64,
+                                [&](std::size_t b, std::size_t e) {
+                                    for (std::size_t i = b; i < e; ++i)
+                                        sink[i] = static_cast<double>(i);
+                                });
+    common::trace_disable();
+
+    bool found = false;
+    for (const common::TraceEvent& e : common::trace_snapshot())
+        found = found || std::string_view(e.name) == "test.before_fan_out";
+    EXPECT_TRUE(found) << "caller's span evicted from its ring by the fan-out";
 }
 
 TEST(TraceSpans, RingWrapsWithoutGrowingAndCountsDrops) {
@@ -236,53 +267,6 @@ TEST(TraceSpans, ChromeJsonContainsRecordedSpans) {
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 }
 
-TEST(MetricsRegistry, HistogramBucketEdges) {
-    ObservabilityGuard guard;
-    common::metrics_enable();
-
-    const double edges[] = {1.0, 10.0, 100.0};
-    common::Histogram& h = common::obs_histogram("test.hist_edges", edges);
-    h.reset();
-    h.observe(0.5);    // below first edge        -> bucket 0
-    h.observe(1.0);    // exactly the first edge  -> bucket 0 (edge >= v)
-    h.observe(5.0);    //                         -> bucket 1
-    h.observe(10.0);   // exactly the second edge -> bucket 1
-    h.observe(50.0);   //                         -> bucket 2
-    h.observe(1000.0); // above the last edge     -> overflow bucket
-
-    EXPECT_EQ(h.bucket_count(0), 2u);
-    EXPECT_EQ(h.bucket_count(1), 2u);
-    EXPECT_EQ(h.bucket_count(2), 1u);
-    EXPECT_EQ(h.bucket_count(3), 1u);
-    EXPECT_EQ(h.total_count(), 6u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 5.0 + 10.0 + 50.0 + 1000.0);
-
-    // Out-of-range tallies: 0.5 undercut the first edge, 1000.0 overshot the
-    // last; the on-edge observations count in neither. Bucket counts above
-    // are unchanged by the tallies (the export-only fields ride along).
-    EXPECT_EQ(h.underflow_count(), 1u);
-    EXPECT_EQ(h.overflow_count(), 1u);
-    const std::string json = common::metrics_to_json();
-    EXPECT_NE(json.find("\"underflow\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"overflow\":1"), std::string::npos);
-
-    h.reset();
-    EXPECT_EQ(h.underflow_count(), 0u);
-    EXPECT_EQ(h.overflow_count(), 0u);
-}
-
-TEST(MetricsRegistry, HistogramUnderOverflowIgnoresNaN) {
-    ObservabilityGuard guard;
-    common::metrics_enable();
-    const double edges[] = {1.0, 10.0};
-    common::Histogram& h =
-        common::obs_histogram("test.hist_nan_tallies", edges);
-    h.reset();
-    h.observe(std::numeric_limits<double>::quiet_NaN());
-    EXPECT_EQ(h.underflow_count(), 0u);
-    EXPECT_EQ(h.overflow_count(), 0u);
-}
-
 TEST(MetricsRegistry, DisabledRecordingIsInert) {
     ObservabilityGuard guard;
     common::metrics_disable();
@@ -330,6 +314,38 @@ TEST(MetricsRegistry, TrainingCountersDeterministicAcrossThreadCounts) {
     }
 }
 
+TEST(MetricsRegistry, PredictBatchLatencyRegistersOnlyWithMetricsOn) {
+    ObservabilityGuard guard;
+    common::set_execution_config({.threads = 1});
+    nn::Matrix x, y;
+    make_dataset(x, y);
+    std::mt19937_64 rng(9);
+    nn::Mlp net({12, 32, 16, 1}, nn::Init::kKaimingUniform, rng);
+    const auto registered = [] {
+        return common::telemetry_snapshot_json().find("\"predict.batch_us\"") !=
+               std::string::npos;
+    };
+
+    // Metrics off: predict registers nothing (a process that turned metrics
+    // on earlier may already hold the sketch; then it must stay as it was).
+    common::metrics_disable();
+    const bool before = registered();
+    (void)nn::predict(net, x, 256);
+    EXPECT_EQ(registered(), before);
+
+    // Metrics on: one sample per batch, 600 rows at 256 -> 3 batches.
+    common::metrics_enable();
+    common::metrics_reset();
+    (void)nn::predict(net, x, 256);
+    const std::string json = common::telemetry_snapshot_json();
+    const std::size_t sketches = json.find("\"sketches\":{");
+    const std::size_t windows = json.find("\"windows\":{");
+    const std::size_t entry = json.find("\"predict.batch_us\":{\"count\":3,");
+    ASSERT_NE(entry, std::string::npos) << json;
+    EXPECT_GT(entry, sketches);
+    EXPECT_LT(entry, windows);
+}
+
 TEST(ObservabilityAlloc, DisabledInstrumentOpsAllocateNothing) {
     ObservabilityGuard guard;
     common::trace_disable();
@@ -337,8 +353,7 @@ TEST(ObservabilityAlloc, DisabledInstrumentOpsAllocateNothing) {
     // Instrument creation may allocate — hoisted, exactly like the call sites.
     common::Counter& c = common::obs_counter("test.alloc_counter");
     common::Gauge& g = common::obs_gauge("test.alloc_gauge");
-    common::Histogram& h =
-        common::obs_histogram("test.alloc_hist", common::kLatencyBucketsUs);
+    common::QuantileSketch& h = common::obs_sketch("test.alloc_sketch");
 
     alloc::AllocationProbe probe;
     for (int i = 0; i < 1000; ++i) {
@@ -360,8 +375,7 @@ TEST(ObservabilityAlloc, EnabledRecordingAfterWarmupAllocatesNothing) {
     common::metrics_enable();
     common::Counter& c = common::obs_counter("test.alloc_counter_on");
     common::Gauge& g = common::obs_gauge("test.alloc_gauge_on");
-    common::Histogram& h =
-        common::obs_histogram("test.alloc_hist_on", common::kLatencyBucketsUs);
+    common::QuantileSketch& h = common::obs_sketch("test.alloc_sketch_on");
     {  // Warm-up: acquires this thread's ring slot.
         common::TraceScope warm("test.alloc_warm");
         h.observe(1.0);

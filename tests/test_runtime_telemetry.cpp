@@ -4,14 +4,15 @@
 //      adversarial streams (sorted / reversed / constant / bimodal), at
 //      1 / 2 / 8 threads and under replayed 8-worker interleavings — the
 //      estimate may move with interleaving, the bound may not;
-//   2. warm recording never allocates: sketch observe(), windowed
-//      counter/quantile recording, flight_record(), and SloMonitor::record()
-//      all run under an AllocationProbe expecting delta 0;
+//   2. warm recording never allocates: sketch observe(), sliding-window
+//      add()/observe(), flight_record(), and SloMonitor::record() all run
+//      under an AllocationProbe expecting delta 0;
 //   3. sliding windows honor stream time: epoch rotation zeroes skipped
 //      buckets, in-window out-of-order arrivals land, older ones drop and
 //      are counted;
-//   4. SLO parsing round-trips and the multi-window burn-rate verdict
-//      distinguishes ok / warn / breach;
+//   4. SLO parsing round-trips, the multi-window burn-rate verdict
+//      distinguishes ok / warn / breach, and metrics_reset() clears
+//      registered monitors;
 //   5. the flight recorder ring wraps without allocation and keeps the
 //      newest events in sequence order;
 //   6. the unified snapshot document carries every section.
@@ -34,7 +35,6 @@
 #include "common/telemetry/quantile_sketch.hpp"
 #include "common/telemetry/sliding_window.hpp"
 #include "common/telemetry/slo.hpp"
-#include "common/telemetry/snapshot.hpp"
 
 namespace {
 
@@ -260,10 +260,9 @@ TEST(TelemetryAllocation, WarmRecordingPathsNeverAllocate) {
 
     // Registration + first touches (may allocate: registry nodes, rings).
     common::QuantileSketch& sketch = common::obs_sketch("test.alloc_sketch");
-    common::WindowedCounter& wc =
-        common::obs_windowed_counter("test.alloc_wc");
-    common::WindowedQuantile& wq =
-        common::obs_windowed_quantile("test.alloc_wq");
+    common::SlidingWindow& wc = common::obs_window("test.alloc_wc");
+    common::SlidingWindow& wq = common::obs_window(
+        "test.alloc_wq", {.reservoir = common::kLatencyReservoir});
     common::SloSpec spec;
     spec.name = "test.alloc_slo";
     spec.latency_objective_us = 1000.0;
@@ -298,28 +297,28 @@ TEST(SlidingWindow, CounterRotatesAndDropsLate) {
     common::WindowConfig cfg;
     cfg.epoch_seconds = 1.0;
     cfg.epochs = 4;
-    common::WindowedCounter wc("test.wc_rotate", cfg);
+    common::SlidingWindow wc(cfg);
 
     wc.add(0.5, 1);
     wc.add(1.5, 2);
     wc.add(3.5, 4);
-    EXPECT_EQ(wc.total(), 7u);
-    EXPECT_EQ(wc.sum_last(1.0), 4u);   // epoch [3,4) only
-    EXPECT_EQ(wc.sum_last(3.0), 6u);   // epochs 1..3
+    EXPECT_EQ(wc.count_last(wc.span_s()), 7u);
+    EXPECT_EQ(wc.count_last(1.0), 4u);   // epoch [3,4) only
+    EXPECT_EQ(wc.count_last(3.0), 6u);   // epochs 1..3
     EXPECT_DOUBLE_EQ(wc.rate_per_s(1.0), 4.0);
 
     // Out-of-order but still inside the window: lands in its own bucket.
     wc.add(2.5, 8);
-    EXPECT_EQ(wc.total(), 15u);
+    EXPECT_EQ(wc.count_last(wc.span_s()), 15u);
     EXPECT_EQ(wc.late_dropped(), 0u);
 
     // Jump far ahead: every old bucket is zeroed on rotation.
     wc.add(100.0, 1);
-    EXPECT_EQ(wc.total(), 1u);
+    EXPECT_EQ(wc.count_last(wc.span_s()), 1u);
 
     // Now 97s in the past — outside the 4-epoch window, dropped + counted.
     wc.add(3.0, 5);
-    EXPECT_EQ(wc.total(), 1u);
+    EXPECT_EQ(wc.count_last(wc.span_s()), 1u);
     EXPECT_EQ(wc.late_dropped(), 1u);
 }
 
@@ -329,7 +328,7 @@ TEST(SlidingWindow, QuantileTracksTrailingSeconds) {
     cfg.epoch_seconds = 1.0;
     cfg.epochs = 8;
     cfg.reservoir = 64;
-    common::WindowedQuantile wq("test.wq_trailing", cfg);
+    common::SlidingWindow wq(cfg);
 
     // Epochs 0..3 hold small values, epochs 4..7 big ones.
     for (int e = 0; e < 8; ++e)
@@ -356,8 +355,8 @@ TEST(SlidingWindow, ReservoirDrawsAreDeterministic) {
     cfg.epochs = 2;
     cfg.reservoir = 16;
     // Same seed + same arrival order => identical retained samples.
-    common::WindowedQuantile a("test.wq_det_a", cfg);
-    common::WindowedQuantile b("test.wq_det_b", cfg);
+    common::SlidingWindow a(cfg);
+    common::SlidingWindow b(cfg);
     for (int i = 0; i < 500; ++i) {
         a.observe(0.5, static_cast<double>(i));
         b.observe(0.5, static_cast<double>(i));
@@ -369,12 +368,12 @@ TEST(SlidingWindow, ReservoirDrawsAreDeterministic) {
 TEST(SlidingWindow, RecordingGatedOnMetricsEnabled) {
     TelemetryGuard guard;
     common::metrics_disable();
-    common::WindowedCounter wc("test.wc_gated", {});
+    common::SlidingWindow wc({});
     wc.add(0.0, 7);
-    EXPECT_EQ(wc.total(), 0u);
+    EXPECT_EQ(wc.count_last(wc.span_s()), 0u);
     common::metrics_enable();
     wc.add(0.0, 7);
-    EXPECT_EQ(wc.total(), 7u);
+    EXPECT_EQ(wc.count_last(wc.span_s()), 7u);
 }
 
 // ---------------------------------------------------------------------------
@@ -481,6 +480,26 @@ TEST(SloMonitor, LatencyObjectiveBreaches) {
     EXPECT_GT(v.latency_slow_us, 100.0);
 }
 
+TEST(SloMonitor, MetricsResetClearsRegisteredMonitors) {
+    TelemetryGuard guard;
+    common::SloSpec spec;
+    spec.name = "test.slo_reset";
+    spec.availability_pct = 99.0;
+    common::SloMonitor& mon = common::obs_slo(spec);
+    common::Counter& counter = common::obs_counter("test.slo_reset_counter");
+    for (int i = 0; i < 50; ++i) {
+        mon.record(static_cast<double>(i), 10.0, false);
+        counter.add(1);
+    }
+    ASSERT_EQ(mon.evaluate().state, common::SloState::kBreach);
+
+    common::metrics_reset();
+    EXPECT_EQ(counter.value(), 0u);
+    const common::SloVerdict v = mon.evaluate();
+    EXPECT_EQ(v.requests_slow, 0u) << "reset left the monitor's windows full";
+    EXPECT_EQ(v.state, common::SloState::kOk);
+}
+
 // ---------------------------------------------------------------------------
 // 5. Flight recorder: ring wrap, ordering, gating.
 // ---------------------------------------------------------------------------
@@ -549,10 +568,12 @@ TEST(FlightRecorder, DisabledRecordingIsInert) {
 TEST(TelemetrySnapshot, CarriesEverySection) {
     TelemetryGuard guard;
     common::flight_enable();
+    common::metrics_reset();
     common::obs_counter("test.snap_counter").add(3);
     common::obs_sketch("test.snap_sketch").observe(12.0);
-    common::obs_windowed_counter("test.snap_wc").add(1.0, 2);
-    common::obs_windowed_quantile("test.snap_wq").observe(1.0, 9.0);
+    common::obs_window("test.snap_wc").add(1.0, 2);
+    common::obs_window("test.snap_wq", {.reservoir = common::kLatencyReservoir})
+        .observe(1.0, 9.0);
     common::SloSpec spec;
     spec.name = "test.snap_slo";
     spec.availability_pct = 99.0;
@@ -560,14 +581,18 @@ TEST(TelemetrySnapshot, CarriesEverySection) {
     common::flight_record("test", "snap", 1.0, 1.0);
 
     const std::string json = common::telemetry_snapshot_json();
-    EXPECT_NE(json.find("\"schema\":\"wifisense.telemetry_snapshot/v1\""),
+    EXPECT_NE(json.find("\"schema\":\"wifisense.telemetry_snapshot/v2\""),
               std::string::npos);
     for (const char* section :
          {"\"metrics\":", "\"sketches\":", "\"windows\":", "\"slo\":",
           "\"recorder\":"})
         EXPECT_NE(json.find(section), std::string::npos) << section;
     EXPECT_NE(json.find("test.snap_sketch"), std::string::npos);
-    EXPECT_NE(json.find("test.snap_wq"), std::string::npos);
+    EXPECT_NE(json.find("\"test.snap_wc\":{\"window_s\":60,\"count\":2,"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"test.snap_wq\":{\"window_s\":60,\"count\":1,"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"p50\":9,"), std::string::npos);
     EXPECT_NE(json.find("test.snap_slo"), std::string::npos);
     EXPECT_NE(json.find("\"label\":\"snap\""), std::string::npos);
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a wifisense telemetry snapshot (common/telemetry/snapshot.hpp).
+"""Validate a wifisense telemetry snapshot (common/metrics.hpp).
 
 Usage:
     check_snapshot.py SNAPSHOT.json
@@ -8,15 +8,14 @@ Usage:
         [--require-slo NAME [--expect-state ok|warn|breach]]
 
 Structural checks (always on):
-  * the document parses as JSON and carries the v1 schema marker;
+  * the document parses as JSON and carries the v2 schema marker;
   * every section exists with its documented shape: "metrics"
-    (counters/gauges/histograms), "sketches", "windows"
-    (counters/quantiles), "slo" (array of verdicts), "recorder"
-    (dropped + events);
+    (counters/gauges), "sketches", "windows" (one map of sliding
+    windows), "slo" (array of verdicts), "recorder" (dropped + events);
   * sketch records carry count/min/max/sum and the four quantile keys,
     with p50 <= p90 <= p99 <= p999 (monotone by construction);
-  * histogram records carry edges/counts/underflow/overflow with
-    len(counts) == len(edges) + 1;
+  * window records carry window_s/count/rate_per_s/late_dropped, and a
+    window with a reservoir carries all four quantile keys;
   * recorder events are sequence-ordered with string category/label;
   * SLO verdicts carry a known state and their burn/availability fields.
 
@@ -26,8 +25,8 @@ Content assertions (CI wiring, see .github/workflows/ci.yml):
     repeatable, used to assert the fusion ladder walk under injected
     link faults;
   * --require-window-quantile resilient.predict_us [--min-count N] fails
-    unless the named windowed quantile is present (and saw >= N samples),
-    proving the serving path actually recorded latency.
+    unless the named window is present with its quantile keys (and saw
+    >= N samples), proving the serving path actually recorded latency.
 
 Exit status: 0 when every check passes, 1 otherwise (all failures are
 listed, not just the first).
@@ -38,7 +37,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMA = "wifisense.telemetry_snapshot/v1"
+SCHEMA = "wifisense.telemetry_snapshot/v2"
 QUANTILE_KEYS = ("p50", "p90", "p99", "p999")
 SLO_STATES = ("ok", "warn", "breach")
 
@@ -63,27 +62,13 @@ def is_num(v) -> bool:
 def check_metrics(c: Checker, metrics) -> None:
     if not c.expect(isinstance(metrics, dict), "metrics: not an object"):
         return
-    for section in ("counters", "gauges", "histograms"):
+    for section in ("counters", "gauges"):
         c.expect(isinstance(metrics.get(section), dict),
                  f"metrics.{section}: missing or not an object")
     for name, v in (metrics.get("counters") or {}).items():
         c.expect(is_num(v), f"metrics.counters[{name}]: not numeric")
     for name, v in (metrics.get("gauges") or {}).items():
         c.expect(is_num(v), f"metrics.gauges[{name}]: not numeric")
-    for name, h in (metrics.get("histograms") or {}).items():
-        if not c.expect(isinstance(h, dict),
-                        f"metrics.histograms[{name}]: not an object"):
-            continue
-        for key in ("edges", "counts", "count", "sum", "underflow", "overflow"):
-            c.expect(key in h, f"metrics.histograms[{name}]: missing '{key}'")
-        edges, counts = h.get("edges"), h.get("counts")
-        if isinstance(edges, list) and isinstance(counts, list):
-            c.expect(len(counts) == len(edges) + 1,
-                     f"metrics.histograms[{name}]: "
-                     f"{len(counts)} counts for {len(edges)} edges "
-                     "(want edges+1)")
-            c.expect(edges == sorted(edges),
-                     f"metrics.histograms[{name}]: edges not sorted")
 
 
 def check_sketches(c: Checker, sketches) -> None:
@@ -103,21 +88,22 @@ def check_sketches(c: Checker, sketches) -> None:
                      f"sketches[{name}]: min {s['min']} > max {s['max']}")
 
 
+def has_quantiles(window) -> bool:
+    return isinstance(window, dict) and any(k in window for k in QUANTILE_KEYS)
+
+
 def check_windows(c: Checker, windows) -> None:
     if not c.expect(isinstance(windows, dict), "windows: not an object"):
         return
-    counters = windows.get("counters")
-    quantiles = windows.get("quantiles")
-    c.expect(isinstance(counters, dict), "windows.counters: missing")
-    c.expect(isinstance(quantiles, dict), "windows.quantiles: missing")
-    for name, w in (counters or {}).items():
-        for key in ("window_s", "total", "rate_per_s", "late_dropped"):
+    for name, w in windows.items():
+        if not c.expect(isinstance(w, dict), f"windows[{name}]: not an object"):
+            continue
+        keys = ("window_s", "count", "rate_per_s", "late_dropped")
+        if has_quantiles(w):
+            keys += QUANTILE_KEYS
+        for key in keys:
             c.expect(is_num(w.get(key)),
-                     f"windows.counters[{name}]: missing numeric '{key}'")
-    for name, w in (quantiles or {}).items():
-        for key in ("window_s", "count", "late_dropped") + QUANTILE_KEYS:
-            c.expect(is_num(w.get(key)),
-                     f"windows.quantiles[{name}]: missing numeric '{key}'")
+                     f"windows[{name}]: missing numeric '{key}'")
 
 
 def check_slo(c: Checker, slo) -> None:
@@ -211,15 +197,16 @@ def main() -> int:
                      f"recorder: no event with category={cat!r} "
                      f"label={label!r} in the {len(events)}-event tail")
 
-        quantiles = (doc.get("windows") or {}).get("quantiles") or {}
+        windows = doc.get("windows") or {}
         for name in args.require_window_quantile:
-            w = quantiles.get(name)
-            if not c.expect(isinstance(w, dict),
-                            f"windows.quantiles[{name}]: required but absent"):
+            w = windows.get(name)
+            if not c.expect(has_quantiles(w),
+                            f"windows[{name}]: required quantile window "
+                            "absent"):
                 continue
             count = w.get("count", 0)
             c.expect(is_num(count) and count >= args.min_count,
-                     f"windows.quantiles[{name}]: count {count} < "
+                     f"windows[{name}]: count {count} < "
                      f"required {args.min_count}")
 
         verdicts = {v.get("name"): v for v in doc.get("slo") or []
@@ -242,8 +229,8 @@ def main() -> int:
     n_events = len(((doc.get("recorder") or {}).get("events")) or [])
     print(f"check_snapshot: OK: {args.snapshot} "
           f"({len(doc.get('sketches') or {})} sketches, "
-          f"{len((doc.get('windows') or {}).get('quantiles') or {})} windowed "
-          f"quantiles, {len(doc.get('slo') or [])} SLOs, "
+          f"{len(doc.get('windows') or {})} windows, "
+          f"{len(doc.get('slo') or [])} SLOs, "
           f"{n_events} recorder events)")
     return 0
 
