@@ -20,6 +20,8 @@
 
 #include "bench_common.hpp"
 #include "common/fault.hpp"
+#include "common/metrics.hpp"
+#include "common/telemetry/sliding_window.hpp"
 #include "core/link_fusion.hpp"
 #include "data/link_ingest.hpp"
 #include "data/telemetry.hpp"
@@ -222,9 +224,16 @@ int main(int argc, char** argv) {
     // independent, so the order moves no number; it only decides what the
     // flight recorder keeps: under --fault-plan the last level (every link,
     // real outages) walks full -> subset -> single inside the exported tail.
+    // Every level replays fold 1 with the same timestamps, so the
+    // stream-time latency window restarts with each level too; otherwise
+    // levels 2-4 would arrive in its past and drop as late.
     for (std::size_t alive = 1; alive <= kLinks; ++alive) {
         const std::size_t down = kLinks - alive;
         det.reset_stream();
+        if (common::metrics_enabled())
+            common::obs_window("resilient.predict_us",
+                               {.reservoir = common::kLatencyReservoir})
+                .reset();
         const LevelResult r = evaluate_links_down(
             det, links, base, n, alive, faults.active() ? &faults : nullptr);
         acc[down] = r.accuracy_pct;

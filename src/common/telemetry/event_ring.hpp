@@ -32,6 +32,14 @@ namespace wifisense::common {
 /// Append `text` to `out` escaped as the body of a JSON string.
 void append_json_escaped(std::string& out, const char* text);
 
+/// Thread slots a recorder's `max_threads` asks for: itself when nonzero,
+/// else the larger of common::thread_count() and
+/// std::thread::hardware_concurrency(), plus one. Every pool thread and the
+/// caller then get a ring without reserving rings no thread will use. A
+/// pool grown past that after enable() drops its extra threads' events
+/// (counted); a caller that grows it should pass an explicit count.
+std::size_t event_slots_for_pool(std::size_t max_threads);
+
 /// `Event` is default-constructible with a `std::uint32_t tid` member, which
 /// claim() sets to the recording thread's slot index.
 template <class Event>

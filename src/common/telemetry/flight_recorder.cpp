@@ -22,7 +22,7 @@ std::atomic<std::uint64_t> g_next_seq{0};
 void flight_enable(const FlightConfig& cfg) {
     obsdetail::g_flight_enabled.store(false, std::memory_order_relaxed);
     g_flight_ring.enable(std::max<std::size_t>(cfg.events_per_thread, 16),
-                  cfg.max_threads);
+                         event_slots_for_pool(cfg.max_threads));
     g_next_seq.store(0, std::memory_order_relaxed);
     obsdetail::g_flight_enabled.store(true, std::memory_order_release);
 }

@@ -33,8 +33,9 @@ struct FlightConfig {
     /// Ring capacity per thread slot, rounded up to a power of two.
     std::size_t events_per_thread = std::size_t{1} << 10;
     /// Thread slots pre-reserved at enable time; threads beyond this record
-    /// nothing (counted in flight_dropped_events()).
-    std::size_t max_threads = 64;
+    /// nothing (counted in flight_dropped_events()). 0 sizes the table for
+    /// the pool, as TraceConfig::max_threads does.
+    std::size_t max_threads = 0;
 };
 
 /// One recorded event. `seq` is a global order stamp (atomic counter, not a

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
+#include <thread>
 
 #include "common/metrics.hpp"
+#include "common/parallel.hpp"
 #include "common/telemetry/event_ring.hpp"
 #include "common/telemetry/flight_recorder.hpp"
 
@@ -46,6 +48,12 @@ void append_json_escaped(std::string& out, const char* text) {
     }
 }
 
+std::size_t event_slots_for_pool(std::size_t max_threads) {
+    if (max_threads > 0) return max_threads;
+    const std::size_t hw = std::thread::hardware_concurrency();
+    return std::max(thread_count(), hw) + 1;
+}
+
 namespace {
 
 /// The span rings of the current trace session (the stamp — clock reads —
@@ -80,7 +88,7 @@ void record_instant(const char* name, std::uint64_t t_ns) {
 void trace_enable(const TraceConfig& cfg) {
     obsdetail::g_trace_enabled.store(false, std::memory_order_relaxed);
     g_span_ring.enable(std::max<std::size_t>(cfg.events_per_thread, 64),
-                  cfg.max_threads, cfg.sample_every);
+                       event_slots_for_pool(cfg.max_threads), cfg.sample_every);
     obsdetail::g_trace_enabled.store(true, std::memory_order_release);
 }
 

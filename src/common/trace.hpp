@@ -57,8 +57,10 @@ struct TraceConfig {
     /// never allocates or blocks.
     std::size_t events_per_thread = std::size_t{1} << 15;
     /// Thread slots pre-reserved at enable time. Threads beyond this record
-    /// nothing (counted in trace_dropped_events()).
-    std::size_t max_threads = 64;
+    /// nothing (counted in trace_dropped_events()). 0 sizes the table for
+    /// the pool: the larger of common::thread_count() and the hardware
+    /// thread count, plus one (event_slots_for_pool()).
+    std::size_t max_threads = 0;
     /// Record only every N-th event per thread (1 = record everything).
     /// Fleet-scale soaks emit millions of sim.event/sim.tick spans; sampling
     /// keeps a long run's rings from wrapping while preserving the shape of

@@ -17,8 +17,11 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace wifisense::nn::kernels {
 
@@ -71,7 +74,8 @@ void gemv_tile(const std::uint32_t* nz_k, const float* nz_a,
 }
 
 /// Single-row kernel: crow[j0, n) += arow * B. Runs row chunks of fewer
-/// than 4 rows, every row when n < 16 (the 128->1 head at any batch), and
+/// than 4 rows (batch-1 serving), outputs narrower than 16 columns in
+/// chunks of fewer than 32 rows and the last < 8 rows of larger ones, and
 /// the blocked kernel's ragged column tail. It first compacts the row's
 /// nonzero activations into a stack list (post-ReLU rows are about half
 /// zeros, and a per-k zero test mispredicts on them), then walks that list
@@ -118,96 +122,253 @@ void gemv_row(const float* arow, const float* b, float* crow, std::size_t k,
 
 /// B-panel k-chunk. 256 k-steps x 16 columns packs into a 16 KiB stack
 /// buffer — L1-resident next to the four A rows and the C tile streaming
-/// against it.
+/// against it. It also bounds a k-step index to one byte in the lists below.
 constexpr std::size_t kPanelK = 256;
+
+/// Rows per sub-block of the packed kernel. The live-k lists of its 4-row
+/// blocks are built once per k-chunk and reused by every 16-column panel.
+/// 128 rows hold a whole row chunk of the paper model's 66->128 input layer
+/// (124 rows), so that layer still packs each panel once per chunk.
+constexpr std::size_t kSubRows = 128;
+
+/// kCompress[m] holds the indices of m's set bits, ascending, one per byte.
+constexpr std::array<std::uint64_t, 256> make_compress_table() {
+    std::array<std::uint64_t, 256> t{};
+    for (std::size_t m = 0; m < 256; ++m) {
+        std::size_t out = 0;
+        for (std::uint64_t bit = 0; bit < 8; ++bit)
+            if ((m >> bit) & 1u) t[m] |= bit << (8 * out++);
+    }
+    return t;
+}
+constexpr std::array<std::uint64_t, 256> kCompress = make_compress_table();
+
+/// Writes the k-steps of [0, kc) at which any of the 4 rows at `a` (row
+/// stride k) is nonzero to `steps`, ascending, and returns their count.
+/// The test is the `!= 0` of gemv_row and the scalar backend: NaN is live,
+/// -0 is not. Branch-free: each 8-step group stores 8 compressed bytes and
+/// advances by its popcount, so `steps` needs kc + 8 bytes. The last,
+/// partial group reads through a lane mask, so nothing past kc is loaded.
+std::size_t live_k_steps(const float* a, std::size_t k, std::size_t kc,
+                         std::uint8_t* steps) {
+    const __m256 zero = _mm256_setzero_ps();
+    const auto live = [&](__m256 v) { return _mm256_cmp_ps(v, zero, _CMP_NEQ_UQ); };
+    std::size_t count = 0;
+    const auto group = [&](std::size_t kk, __m256 r0, __m256 r1, __m256 r2, __m256 r3) {
+        const __m256 any = _mm256_or_ps(_mm256_or_ps(live(r0), live(r1)),
+                                        _mm256_or_ps(live(r2), live(r3)));
+        const auto mask = static_cast<unsigned>(_mm256_movemask_ps(any));
+        const std::uint64_t idx = kCompress[mask] + kk * 0x0101010101010101ull;
+        std::memcpy(steps + count, &idx, sizeof idx);
+        count += static_cast<std::size_t>(std::popcount(mask));
+    };
+    std::size_t kk = 0;
+    for (; kk + 8 <= kc; kk += 8)
+        group(kk, _mm256_loadu_ps(a + kk), _mm256_loadu_ps(a + k + kk),
+              _mm256_loadu_ps(a + 2 * k + kk), _mm256_loadu_ps(a + 3 * k + kk));
+    if (kk < kc) {
+        const __m256i m = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(kc - kk)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        group(kk, _mm256_maskload_ps(a + kk, m), _mm256_maskload_ps(a + k + kk, m),
+              _mm256_maskload_ps(a + 2 * k + kk, m),
+              _mm256_maskload_ps(a + 3 * k + kk, m));
+    }
+    return count;
+}
+
+/// The 4x16 tile's k walks: every step of the chunk, or a live-step list.
+struct DenseWalk {
+    std::size_t count;
+    std::size_t operator[](std::size_t t) const { return t; }
+};
+struct ListWalk {
+    const std::uint8_t* steps;
+    std::size_t count;
+    std::size_t operator[](std::size_t t) const { return steps[t]; }
+};
+
+/// C rows [0, 4) x 16 columns += A rows [0, 4) x the packed panel, over the
+/// k-steps `walk` names. Eight ymm accumulators hold the C tile, loaded and
+/// stored once per call. a points at a(i, k0) (row stride k), c at C[i][j].
+template <class Walk>
+void tile4x16(const float* a, std::size_t k, const float* bpack, Walk walk,
+              float* c, std::size_t n) {
+    const float* a0 = a;
+    const float* a1 = a0 + k;
+    const float* a2 = a1 + k;
+    const float* a3 = a2 + k;
+    float* c0 = c;
+    float* c1 = c0 + n;
+    float* c2 = c1 + n;
+    float* c3 = c2 + n;
+    __m256 acc00 = _mm256_loadu_ps(c0);
+    __m256 acc01 = _mm256_loadu_ps(c0 + 8);
+    __m256 acc10 = _mm256_loadu_ps(c1);
+    __m256 acc11 = _mm256_loadu_ps(c1 + 8);
+    __m256 acc20 = _mm256_loadu_ps(c2);
+    __m256 acc21 = _mm256_loadu_ps(c2 + 8);
+    __m256 acc30 = _mm256_loadu_ps(c3);
+    __m256 acc31 = _mm256_loadu_ps(c3 + 8);
+    for (std::size_t t = 0; t < walk.count; ++t) {
+        const std::size_t kk = walk[t];
+        const float* bp = bpack + kk * 16;
+        const __m256 b0 = _mm256_load_ps(bp);
+        const __m256 b1 = _mm256_load_ps(bp + 8);
+        __m256 av = _mm256_set1_ps(a0[kk]);
+        acc00 = _mm256_fmadd_ps(av, b0, acc00);
+        acc01 = _mm256_fmadd_ps(av, b1, acc01);
+        av = _mm256_set1_ps(a1[kk]);
+        acc10 = _mm256_fmadd_ps(av, b0, acc10);
+        acc11 = _mm256_fmadd_ps(av, b1, acc11);
+        av = _mm256_set1_ps(a2[kk]);
+        acc20 = _mm256_fmadd_ps(av, b0, acc20);
+        acc21 = _mm256_fmadd_ps(av, b1, acc21);
+        av = _mm256_set1_ps(a3[kk]);
+        acc30 = _mm256_fmadd_ps(av, b0, acc30);
+        acc31 = _mm256_fmadd_ps(av, b1, acc31);
+    }
+    _mm256_storeu_ps(c0, acc00);
+    _mm256_storeu_ps(c0 + 8, acc01);
+    _mm256_storeu_ps(c1, acc10);
+    _mm256_storeu_ps(c1 + 8, acc11);
+    _mm256_storeu_ps(c2, acc20);
+    _mm256_storeu_ps(c2 + 8, acc21);
+    _mm256_storeu_ps(c3, acc30);
+    _mm256_storeu_ps(c3 + 8, acc31);
+}
+
+/// k-steps per pass of the narrow kernel: A^T for 32 rows is a 16 KiB
+/// stack buffer, and one pass covers the 128->1 head.
+constexpr std::size_t kNarrowK = 128;
+
+/// Transposes the 8 x 8 block of A at `a` (row stride k) into `dst`, eight
+/// rows of one k-step per vector, vectors `stride` floats apart.
+void transpose8x8(const float* a, std::size_t k, float* dst, std::size_t stride) {
+    for (std::size_t h = 0; h < 8; h += 4) {
+        // Steps [h, h+4) of rows q and q+4 in one ymm, one row per lane.
+        const auto rows = [&](std::size_t q) {
+            return _mm256_insertf128_ps(
+                _mm256_castps128_ps256(_mm_loadu_ps(a + q * k + h)),
+                _mm_loadu_ps(a + (q + 4) * k + h), 1);
+        };
+        const __m256 r0 = rows(0), r1 = rows(1), r2 = rows(2), r3 = rows(3);
+        const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+        const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+        const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+        const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+        float* d = dst + h * stride;
+        _mm256_store_ps(d, _mm256_shuffle_ps(t0, t2, 0x44));
+        _mm256_store_ps(d + stride, _mm256_shuffle_ps(t0, t2, 0xEE));
+        _mm256_store_ps(d + 2 * stride, _mm256_shuffle_ps(t1, t3, 0x44));
+        _mm256_store_ps(d + 3 * stride, _mm256_shuffle_ps(t1, t3, 0xEE));
+    }
+}
+
+/// Narrow outputs (n < 16) of 8*G rows at once: row r of the tile sits in
+/// lane r % 8 of lane group r / 8, so G independent FMA chains run against
+/// one broadcast weight per k-step. Each pass transposes the rows' A
+/// slice into a stack panel, then walks every k-step in ascending order
+/// per column, starting from C's value. a points at A row i, c at C row i.
+template <std::size_t G>
+void narrow_tile(const float* a, const float* b, float* c, std::size_t k,
+                 std::size_t n) {
+    constexpr std::size_t R = 8 * G;
+    alignas(32) float at[kNarrowK * R];
+    alignas(32) float col[R];
+    for (std::size_t k0 = 0; k0 < k; k0 += kNarrowK) {
+        const std::size_t kc = std::min(kNarrowK, k - k0);
+        const std::size_t kc8 = kc & ~std::size_t{7};
+        for (std::size_t g = 0; g < G; ++g) {
+            const float* ag = a + 8 * g * k + k0;
+            for (std::size_t kk = 0; kk < kc8; kk += 8)
+                transpose8x8(ag + kk, k, at + kk * R + 8 * g, R);
+            for (std::size_t kk = kc8; kk < kc; ++kk)
+                for (std::size_t r = 0; r < 8; ++r)
+                    at[kk * R + 8 * g + r] = ag[r * k + kk];
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+            for (std::size_t r = 0; r < R; ++r) col[r] = c[r * n + j];
+            __m256 acc[G];
+            for (std::size_t g = 0; g < G; ++g) acc[g] = _mm256_load_ps(col + 8 * g);
+            const float* bj = b + k0 * n + j;
+            for (std::size_t kk = 0; kk < kc; ++kk) {
+                const __m256 w = _mm256_set1_ps(bj[kk * n]);
+                for (std::size_t g = 0; g < G; ++g)
+                    acc[g] = _mm256_fmadd_ps(_mm256_load_ps(at + kk * R + 8 * g), w,
+                                             acc[g]);
+            }
+            for (std::size_t g = 0; g < G; ++g) _mm256_store_ps(col + 8 * g, acc[g]);
+            for (std::size_t r = 0; r < R; ++r) c[r * n + j] = col[r];
+        }
+    }
+}
 
 /// Packed register-blocked GEMM. B's natural layout is row-major [k x n],
 /// so a 16-column tile walk strides by 4n bytes — every load a fresh cache
 /// line and a page crossing every few steps, which starves the FMA units
 /// (~18 GF/s measured against an ~75 GF/s machine peak). Each 16-column
-/// panel is therefore packed once into a contiguous stack buffer and
-/// reused across all row blocks; the 4x16 microkernel (eight ymm
+/// panel is therefore packed into a contiguous stack buffer and reused
+/// across the row blocks of a sub-block; the 4x16 microkernel (eight ymm
 /// accumulators, C loaded/stored once per tile per k-chunk) then runs
-/// entirely out of L1. Each C element still accumulates its FMA chain in
+/// entirely out of L1. A 4-row block walks only the k-steps where one of
+/// its rows is nonzero (post-ReLU rows share most of their zeros), unless
+/// that list covers 3/4 of the chunk or more; then the dense walk is
+/// cheaper. Outputs narrower than 16 columns run 8 rows per vector once a
+/// chunk has 32 rows. Each C element still accumulates its FMA chain in
 /// ascending-k order — chunk boundaries only spill the exact partial to C
-/// and reload it — so the result is bitwise identical to the single-row
-/// kernel above at any blocking phase, which is what keeps this backend
-/// thread-count invariant (row chunks can start at any r0).
+/// and reload it, and a skipped or taken step of zero activation leaves an
+/// accumulator that is never -0 unchanged (DESIGN.md §16) — so the result
+/// is bitwise identical to the single-row kernel above at any blocking
+/// phase, which is what keeps this backend thread-count invariant (row
+/// chunks can start at any r0).
 // wifisense-lint: requires(noalloc, noexcept, noclock, det)
 void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
                       std::size_t n, std::size_t r0, std::size_t r1) {
     const std::size_t n16 = n & ~std::size_t{15};
     if (r1 - r0 >= 4 && n16 > 0) {
         alignas(32) float bpack[kPanelK * 16];
-        for (std::size_t j = 0; j < n16; j += 16) {
+        alignas(8) std::uint8_t steps[kSubRows / 4][kPanelK + 8];
+        std::size_t live[kSubRows / 4];
+        for (std::size_t s0 = r0; s0 < r1; s0 += kSubRows) {
+            const std::size_t s1 = std::min(r1, s0 + kSubRows);
+            const std::size_t blocks = (s1 - s0) / 4;
             for (std::size_t k0 = 0; k0 < k; k0 += kPanelK) {
                 const std::size_t kc = std::min(kPanelK, k - k0);
-                for (std::size_t kk = 0; kk < kc; ++kk) {
-                    const float* src = b + (k0 + kk) * n + j;
-                    _mm256_store_ps(bpack + kk * 16, _mm256_loadu_ps(src));
-                    _mm256_store_ps(bpack + kk * 16 + 8,
-                                    _mm256_loadu_ps(src + 8));
-                }
-                std::size_t i = r0;
-                for (; i + 4 <= r1; i += 4) {
-                    const float* a0 = a + i * k + k0;
-                    const float* a1 = a0 + k;
-                    const float* a2 = a1 + k;
-                    const float* a3 = a2 + k;
-                    float* c0 = c + i * n + j;
-                    float* c1 = c0 + n;
-                    float* c2 = c1 + n;
-                    float* c3 = c2 + n;
-                    __m256 acc00 = _mm256_loadu_ps(c0);
-                    __m256 acc01 = _mm256_loadu_ps(c0 + 8);
-                    __m256 acc10 = _mm256_loadu_ps(c1);
-                    __m256 acc11 = _mm256_loadu_ps(c1 + 8);
-                    __m256 acc20 = _mm256_loadu_ps(c2);
-                    __m256 acc21 = _mm256_loadu_ps(c2 + 8);
-                    __m256 acc30 = _mm256_loadu_ps(c3);
-                    __m256 acc31 = _mm256_loadu_ps(c3 + 8);
+                for (std::size_t q = 0; q < blocks; ++q)
+                    live[q] = live_k_steps(a + (s0 + 4 * q) * k + k0, k, kc, steps[q]);
+                for (std::size_t j = 0; j < n16; j += 16) {
                     for (std::size_t kk = 0; kk < kc; ++kk) {
-                        const float* bp = bpack + kk * 16;
-                        const __m256 b0 = _mm256_load_ps(bp);
-                        const __m256 b1 = _mm256_load_ps(bp + 8);
-                        __m256 av = _mm256_set1_ps(a0[kk]);
-                        acc00 = _mm256_fmadd_ps(av, b0, acc00);
-                        acc01 = _mm256_fmadd_ps(av, b1, acc01);
-                        av = _mm256_set1_ps(a1[kk]);
-                        acc10 = _mm256_fmadd_ps(av, b0, acc10);
-                        acc11 = _mm256_fmadd_ps(av, b1, acc11);
-                        av = _mm256_set1_ps(a2[kk]);
-                        acc20 = _mm256_fmadd_ps(av, b0, acc20);
-                        acc21 = _mm256_fmadd_ps(av, b1, acc21);
-                        av = _mm256_set1_ps(a3[kk]);
-                        acc30 = _mm256_fmadd_ps(av, b0, acc30);
-                        acc31 = _mm256_fmadd_ps(av, b1, acc31);
+                        const float* src = b + (k0 + kk) * n + j;
+                        _mm256_store_ps(bpack + kk * 16, _mm256_loadu_ps(src));
+                        _mm256_store_ps(bpack + kk * 16 + 8,
+                                        _mm256_loadu_ps(src + 8));
                     }
-                    _mm256_storeu_ps(c0, acc00);
-                    _mm256_storeu_ps(c0 + 8, acc01);
-                    _mm256_storeu_ps(c1, acc10);
-                    _mm256_storeu_ps(c1 + 8, acc11);
-                    _mm256_storeu_ps(c2, acc20);
-                    _mm256_storeu_ps(c2 + 8, acc21);
-                    _mm256_storeu_ps(c3, acc30);
-                    _mm256_storeu_ps(c3 + 8, acc31);
-                }
-                for (; i < r1; ++i) {
-                    const float* arow = a + i * k + k0;
-                    float* crow = c + i * n + j;
-                    __m256 acc0 = _mm256_loadu_ps(crow);
-                    __m256 acc1 = _mm256_loadu_ps(crow + 8);
-                    for (std::size_t kk = 0; kk < kc; ++kk) {
-                        const float av = arow[kk];
-                        if (av == 0.0f) continue;
-                        const __m256 vav = _mm256_set1_ps(av);
-                        const float* bp = bpack + kk * 16;
-                        acc0 = _mm256_fmadd_ps(vav, _mm256_load_ps(bp), acc0);
-                        acc1 = _mm256_fmadd_ps(vav, _mm256_load_ps(bp + 8),
-                                               acc1);
+                    for (std::size_t q = 0; q < blocks; ++q) {
+                        const float* ab = a + (s0 + 4 * q) * k + k0;
+                        float* cb = c + (s0 + 4 * q) * n + j;
+                        if (4 * live[q] >= 3 * kc)
+                            tile4x16(ab, k, bpack, DenseWalk{kc}, cb, n);
+                        else
+                            tile4x16(ab, k, bpack, ListWalk{steps[q], live[q]}, cb, n);
                     }
-                    _mm256_storeu_ps(crow, acc0);
-                    _mm256_storeu_ps(crow + 8, acc1);
+                    for (std::size_t i = s0 + 4 * blocks; i < s1; ++i) {
+                        const float* arow = a + i * k + k0;
+                        float* crow = c + i * n + j;
+                        __m256 acc0 = _mm256_loadu_ps(crow);
+                        __m256 acc1 = _mm256_loadu_ps(crow + 8);
+                        for (std::size_t kk = 0; kk < kc; ++kk) {
+                            const float av = arow[kk];
+                            if (av == 0.0f) continue;
+                            const __m256 vav = _mm256_set1_ps(av);
+                            const float* bp = bpack + kk * 16;
+                            acc0 = _mm256_fmadd_ps(vav, _mm256_load_ps(bp), acc0);
+                            acc1 = _mm256_fmadd_ps(vav, _mm256_load_ps(bp + 8),
+                                                   acc1);
+                        }
+                        _mm256_storeu_ps(crow, acc0);
+                        _mm256_storeu_ps(crow + 8, acc1);
+                    }
                 }
             }
         }
@@ -216,8 +377,12 @@ void avx2_matmul_rows(const float* a, const float* b, float* c, std::size_t k,
                 gemv_row(a + i * k, b, c + i * n, k, n, n16);
         return;
     }
-    for (std::size_t i = r0; i < r1; ++i)
-        gemv_row(a + i * k, b, c + i * n, k, n, 0);
+    std::size_t i = r0;
+    if (n16 == 0 && r1 - r0 >= 32) {
+        for (; i + 32 <= r1; i += 32) narrow_tile<4>(a + i * k, b, c + i * n, k, n);
+        for (; i + 8 <= r1; i += 8) narrow_tile<1>(a + i * k, b, c + i * n, k, n);
+    }
+    for (; i < r1; ++i) gemv_row(a + i * k, b, c + i * n, k, n, 0);
 }
 
 /// dW tile: rows [i, i+R) x 16 columns of C += X^T dY, held in 2R ymm

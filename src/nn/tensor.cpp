@@ -57,7 +57,7 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, float fill)
     : rows_(rows), cols_(cols), values_(rows * cols, fill) {}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<float> values)
-    : rows_(rows), cols_(cols), values_(std::move(values)) {
+    : rows_(rows), cols_(cols), values_(values.begin(), values.end()) {
     if (values_.size() != rows_ * cols_)
         throw std::invalid_argument("Matrix: value count does not match shape");
 }

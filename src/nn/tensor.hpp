@@ -5,7 +5,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <initializer_list>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,6 +16,40 @@
 #include "nn/kernels/backend.hpp"
 
 namespace wifisense::nn {
+
+/// Allocator of Matrix storage: 64-byte aligned, so every row whose offset
+/// is a multiple of 16 floats starts on a cache line, and the GEMM kernels'
+/// 32-byte loads of such rows never straddle two lines. std::vector's
+/// default allocator only guarantees 16 bytes. Each block is one line
+/// longer than asked, starts at the first line boundary past the plain
+/// operator new block, and keeps that block's address in the word just
+/// below. (glibc serves the align_val_t operator new by splitting chunks,
+/// which left perfbench's peak RSS ~3 MiB higher.)
+template <class T>
+struct CacheLineAllocator {
+    using value_type = T;
+    static constexpr std::size_t kAlign = 64;
+
+    CacheLineAllocator() = default;
+    template <class U>
+    constexpr CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+    T* allocate(std::size_t count) {
+        void* block = ::operator new(count * sizeof(T) + kAlign);
+        const std::uintptr_t start =
+            (reinterpret_cast<std::uintptr_t>(block) + kAlign) & ~std::uintptr_t{kAlign - 1};
+        std::memcpy(reinterpret_cast<void*>(start - sizeof block), &block, sizeof block);
+        return reinterpret_cast<T*>(start);
+    }
+    void deallocate(T* p, std::size_t) noexcept {
+        void* block = nullptr;
+        std::memcpy(&block, reinterpret_cast<const char*>(p) - sizeof block, sizeof block);
+        ::operator delete(block);
+    }
+    friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) {
+        return true;
+    }
+};
 
 class Matrix {
 public:
@@ -66,7 +103,7 @@ public:
 private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
-    std::vector<float> values_;
+    std::vector<float, CacheLineAllocator<float>> values_;
 };
 
 // ---------------------------------------------------------------------------

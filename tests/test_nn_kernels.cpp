@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -329,10 +330,13 @@ float ascending_fma_chain(const nn::Matrix& a, const nn::Matrix& b,
     return acc;
 }
 
-// Chunks of 1-3 rows, n < 16 and the blocked kernel's column tail run the
-// register-tiled single-row kernel; chunks of 4+ rows run the packed 4x16
-// kernel. A row must come out with the same bits whichever kernel computed
-// it — that is what keeps batch-1 serving outputs equal to batched scoring.
+// Chunks of 1-3 rows, n < 16 below 32 rows and the blocked kernel's column
+// tail run the register-tiled single-row kernel; chunks of 4+ rows run the
+// packed 4x16 kernel. A row must come out with the same bits whichever
+// kernel computed it — that is what keeps batch-1 serving outputs equal to
+// batched scoring. Nine rows of independent zeros leave almost every k-step
+// live in a 4-row block, so the tests after this one cover the live-step
+// lists and the narrow kernel.
 TEST(KernelParity, Avx2SingleRowGemvMatchesBlockedRowsBitwise) {
     if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
     const kn::KernelBackend& vx = *kn::avx2_backend();
@@ -376,6 +380,105 @@ TEST(KernelParity, Avx2SingleRowGemvMatchesBlockedRowsBitwise) {
             }
         }
     }
+}
+
+/// Activations whose zeros come in whole columns, as consecutive instants of
+/// one room switch on nearly the same hidden units: rows run in groups of 6
+/// that share a mask of about 65% zero columns, and each row zeros a fifth
+/// of its remaining entries on top, so a 4-row block at any phase leaves
+/// most k-steps zero in all four rows. Row 9 is all zero; rows 16-19 are
+/// empty except row 18, which has no zero at all. -0 stands in for some
+/// zeros, and row 30 carries one NaN.
+nn::Matrix column_zero_matrix(std::size_t rows, std::size_t k, std::uint64_t seed) {
+    nn::Matrix m = random_matrix(rows, k, seed);
+    std::mt19937_64 rng(seed ^ 0xc01u);
+    std::vector<bool> dead(k);
+    for (std::size_t i = 0; i < rows; ++i) {
+        if (i % 6 == 0)
+            for (std::size_t kk = 0; kk < k; ++kk) dead[kk] = rng() % 100 < 65;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const bool zero = dead[kk] || rng() % 5 == 0 || i == 9 ||
+                              (i >= 16 && i < 20 && i != 18);
+            if (zero) m.at(i, kk) = rng() % 3 == 0 ? -0.0f : 0.0f;
+        }
+    }
+    for (std::size_t kk = 0; kk < k; ++kk)
+        if (m.at(18, kk) == 0.0f) m.at(18, kk) = 0.5f;
+    m.at(30, k / 2) = std::numeric_limits<float>::quiet_NaN();
+    return m;
+}
+
+/// Rows [r0, r1) of `got` against the exact chain, element by element. A
+/// NaN output must meet a NaN reference; its payload is not compared.
+void expect_rows_match_chain(const nn::Matrix& got, const nn::Matrix& a,
+                             const nn::Matrix& b, std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i)
+        for (std::size_t j = 0; j < got.cols(); ++j) {
+            const float want = ascending_fma_chain(a, b, i, j);
+            if (std::isnan(want)) {
+                ASSERT_TRUE(std::isnan(got.at(i, j))) << "row " << i << " col " << j;
+                continue;
+            }
+            ASSERT_EQ(bits32(got.at(i, j)), bits32(want)) << "row " << i << " col " << j;
+        }
+}
+
+/// matmul_rows over a 140-row column_zero_matrix: every row range [r0, 140)
+/// with r0 in [0, 8) (each 4-row block phase, and a 128-row sub-block
+/// boundary inside), then every 1-3-row slice.
+void check_against_chain(std::size_t k, std::size_t n, std::uint64_t seed) {
+    SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+    const kn::KernelBackend& vx = *kn::avx2_backend();
+    constexpr std::size_t kRows = 140;
+    const nn::Matrix a = column_zero_matrix(kRows, k, seed);
+    const nn::Matrix b = random_matrix(k, n, seed + 1);
+    for (std::size_t r0 = 0; r0 < 8; ++r0) {
+        SCOPED_TRACE("rows [" + std::to_string(r0) + ", 140)");
+        nn::Matrix c(kRows, n, 0.0f);
+        vx.matmul_rows(a.data().data(), b.data().data(), c.data().data(), k, n, r0,
+                       kRows);
+        expect_rows_match_chain(c, a, b, r0, kRows);
+    }
+    for (std::size_t len = 1; len <= 3; ++len)
+        for (std::size_t r0 = 0; r0 + len <= kRows; ++r0) {
+            SCOPED_TRACE("rows [" + std::to_string(r0) + ", " +
+                         std::to_string(r0 + len) + ")");
+            nn::Matrix c(kRows, n, 0.0f);
+            vx.matmul_rows(a.data().data(), b.data().data(), c.data().data(), k, n,
+                           r0, r0 + len);
+            expect_rows_match_chain(c, a, b, r0, r0 + len);
+        }
+}
+
+constexpr std::size_t kChainDepths[] = {1, 7, 8, 9, 255, 256, 257, 600};
+
+// Outputs of 16+ columns: 4-row blocks whose rows share most of their
+// zeros walk a list of the live k-steps, denser blocks every step. Depths
+// cover the list builder's 8-step groups and partial group and the 256-step
+// panel chunk; widths cover no ragged column tail, one and one past two
+// panels.
+TEST(KernelParity, Avx2LiveStepListMatchesReferenceChainBitwise) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    std::uint64_t seed = 7100;
+    for (const std::size_t k : kChainDepths)
+        for (const std::size_t n : {16, 17, 33}) {
+            check_against_chain(k, n, seed);
+            seed += 2;
+        }
+}
+
+// Outputs narrower than 16 columns (the 128->1 head): chunks of 32+ rows
+// run 8 rows per vector, in 32- and then 8-row tiles, and the rest of the
+// rows one at a time. Depths cover the transpose's 8-step blocks, its
+// scalar tail and the 128-step pass boundary.
+TEST(KernelParity, Avx2NarrowOutputsMatchReferenceChainBitwise) {
+    if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    std::uint64_t seed = 7300;
+    for (const std::size_t k : kChainDepths)
+        for (const std::size_t n : {1, 2, 7, 15}) {
+            check_against_chain(k, n, seed);
+            seed += 2;
+        }
 }
 
 /// dW = X^T dY accumulated into C: one fused multiply-add per nonzero
@@ -476,6 +579,32 @@ TEST(KernelParity, Avx2BackwardKernelsMatchReferenceChainsBitwise) {
     }
 }
 
+/// Inputs of a run of consecutive instants: 4 base rows plus small
+/// perturbations, standardized per column like the detector's inputs.
+nn::Matrix correlated_inputs(std::size_t rows, std::size_t features) {
+    const nn::Matrix base = random_matrix(4, features, 91, 2.0f);
+    const nn::Matrix noise = random_matrix(rows, features, 92, 0.05f);
+    nn::Matrix x(rows, features);
+    for (std::size_t j = 0; j < features; ++j) {
+        double mean = 0.0, var = 0.0;
+        for (std::size_t i = 0; i < rows; ++i) {
+            x.at(i, j) = base.at(i * 4 / rows, j) + noise.at(i, j);
+            mean += x.at(i, j);
+        }
+        mean /= static_cast<double>(rows);
+        for (std::size_t i = 0; i < rows; ++i)
+            var += (x.at(i, j) - mean) * (x.at(i, j) - mean);
+        const double sd = std::sqrt(var / static_cast<double>(rows));
+        for (std::size_t i = 0; i < rows; ++i)
+            x.at(i, j) = static_cast<float>((x.at(i, j) - mean) / sd);
+    }
+    return x;
+}
+
+// Every logit of a batched forward must equal the row's batch-1 forward: on
+// 8 independent random rows, and on 96 correlated ones, whose hidden layers
+// switch on nearly the same units row after row, so the batched forward
+// takes the live-step lists and the narrow head kernel.
 TEST(KernelParity, Avx2BatchOneForwardMatchesBatchedRowsBitwise) {
     if (!kn::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
     KernelBackendGuard kguard;
@@ -486,15 +615,17 @@ TEST(KernelParity, Avx2BatchOneForwardMatchesBatchedRowsBitwise) {
     std::mt19937_64 rng(21);
     nn::Mlp net = nn::paper_mlp(66, rng);
     net.set_training(false);
-    const nn::Matrix x = random_matrix(8, 66, 77, 2.0f);
-    const nn::Matrix batched = net.forward_ws(x, /*cache=*/false);
-    ASSERT_EQ(batched.rows(), 8u);
+    for (const nn::Matrix& x : {random_matrix(8, 66, 77, 2.0f), correlated_inputs(96, 66)}) {
+        SCOPED_TRACE(std::to_string(x.rows()) + " rows");
+        const nn::Matrix batched = net.forward_ws(x, /*cache=*/false);
+        ASSERT_EQ(batched.rows(), x.rows());
 
-    nn::Matrix row;
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-        nn::row_block_into(x, i, 1, row);
-        const nn::Matrix& out = net.forward_ws(row, /*cache=*/false);
-        EXPECT_EQ(bits32(out.at(0, 0)), bits32(batched.at(i, 0))) << "row " << i;
+        nn::Matrix row;
+        for (std::size_t i = 0; i < x.rows(); ++i) {
+            nn::row_block_into(x, i, 1, row);
+            const nn::Matrix& out = net.forward_ws(row, /*cache=*/false);
+            EXPECT_EQ(bits32(out.at(0, 0)), bits32(batched.at(i, 0))) << "row " << i;
+        }
     }
 }
 

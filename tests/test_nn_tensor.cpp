@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace nn = wifisense::nn;
 
@@ -20,6 +24,53 @@ TEST(Tensor, RaggedInitializerThrows) {
 
 TEST(Tensor, VectorConstructorValidatesSize) {
     EXPECT_THROW(nn::Matrix(2, 2, std::vector<float>{1.0f}), std::invalid_argument);
+}
+
+/// True when m's storage starts on a 64-byte cache line.
+bool line_aligned(const nn::Matrix& m) {
+    return reinterpret_cast<std::uintptr_t>(m.data().data()) % 64 == 0;
+}
+
+// Every way a Matrix gets storage hands out 64-byte aligned memory, so the
+// GEMM kernels' 32-byte loads of a row never straddle two cache lines
+// wherever the allocator placed the buffer. Small shapes come from the
+// heap's bins and the 300 x 300 one from mmap, whose default alignment is
+// 16 bytes either way.
+TEST(Tensor, StorageIsCacheLineAligned) {
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {1, 1}, {1, 3}, {3, 5}, {7, 9}, {2, 66}, {66, 128}, {128, 1}, {300, 300}};
+    std::vector<nn::Matrix> kept;  // live neighbours shift later placements
+    for (const auto& [rows, cols] : shapes) {
+        SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+        nn::Matrix m(rows, cols, 1.0f);
+        EXPECT_TRUE(line_aligned(m)) << "fill constructor";
+
+        nn::Matrix grown;
+        grown.resize(rows, cols);
+        EXPECT_TRUE(line_aligned(grown)) << "resize from empty";
+        grown.resize(rows + 5, cols + 3);
+        EXPECT_TRUE(line_aligned(grown)) << "resize past capacity";
+
+        nn::Matrix reserved;
+        reserved.reserve(rows + 1, cols);
+        reserved.resize(rows, cols);
+        EXPECT_TRUE(line_aligned(reserved)) << "reserve";
+
+        nn::Matrix copied;
+        copied.copy_from(m);
+        EXPECT_TRUE(line_aligned(copied)) << "copy_from";
+        const nn::Matrix copy_constructed = m;
+        EXPECT_TRUE(line_aligned(copy_constructed)) << "copy constructor";
+        const nn::Matrix moved = std::move(m);
+        EXPECT_TRUE(line_aligned(moved)) << "move";
+
+        const nn::Matrix from_vector(rows, cols, std::vector<float>(rows * cols, 2.0f));
+        EXPECT_TRUE(line_aligned(from_vector)) << "vector constructor";
+        EXPECT_EQ(from_vector.at(rows - 1, cols - 1), 2.0f);
+        kept.push_back(copied);
+    }
+    const nn::Matrix braced{{1.0f, 2.0f, 3.0f}, {4.0f, 5.0f, 6.0f}};
+    EXPECT_TRUE(line_aligned(braced)) << "brace initializer";
 }
 
 TEST(Tensor, MatmulKnownProduct) {

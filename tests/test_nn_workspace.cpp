@@ -182,11 +182,15 @@ constexpr std::uint32_t kAvx2PaperLogits[11] = {
     0xbf9d307fu, 0x3ec07340u, 0xbf3de7e9u, 0xbf94b093u, 0xbed482d7u};
 constexpr std::uint32_t kAvx2PaperWeightsXor = 0xbe0d7936u;
 
-TEST(WorkspaceGolden, Avx2PaperMlpTrainingMatchesPinnedBits) {
-    if (!nn::kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+/// Trains the paper scenario above on `backend` at 1 and 2 threads and
+/// checks the per-epoch losses, every 97th logit and the parameter XOR.
+void expect_paper_training_bits(const char* backend,
+                                const std::uint64_t (&epoch_loss)[2],
+                                const std::uint32_t (&logits_every_97th)[11],
+                                std::uint32_t weights_xor_want) {
     ThreadConfigGuard guard;
     KernelBackendGuard kguard;
-    ASSERT_TRUE(nn::kernels::set_kernel_backend("avx2"));
+    ASSERT_TRUE(nn::kernels::set_kernel_backend(backend));
 
     std::mt19937_64 drng(321);
     std::uniform_real_distribution<float> u(-1.0f, 1.0f);
@@ -209,16 +213,41 @@ TEST(WorkspaceGolden, Avx2PaperMlpTrainingMatchesPinnedBits) {
 
         ASSERT_EQ(h.epoch_loss.size(), 2u);
         for (std::size_t e = 0; e < 2; ++e)
-            EXPECT_EQ(bits64(h.epoch_loss[e]), kAvx2PaperEpochLoss[e]) << "epoch " << e;
+            EXPECT_EQ(bits64(h.epoch_loss[e]), epoch_loss[e]) << "epoch " << e;
         const nn::Matrix logits = nn::predict(net, x, 256);
         for (std::size_t r = 0; r < 11; ++r)
-            EXPECT_EQ(bits32(logits.at(r * 97, 0)), kAvx2PaperLogits[r])
+            EXPECT_EQ(bits32(logits.at(r * 97, 0)), logits_every_97th[r])
                 << "row " << r * 97;
         std::uint32_t weights_xor = 0;
         for (nn::ParamView& p : net.parameters())
             for (const float v : p.values) weights_xor ^= bits32(v);
-        EXPECT_EQ(weights_xor, kAvx2PaperWeightsXor);
+        EXPECT_EQ(weights_xor, weights_xor_want);
     }
+}
+
+TEST(WorkspaceGolden, Avx2PaperMlpTrainingMatchesPinnedBits) {
+    if (!nn::kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
+    expect_paper_training_bits("avx2", kAvx2PaperEpochLoss, kAvx2PaperLogits,
+                               kAvx2PaperWeightsXor);
+}
+
+/// The scalar reference on the same paper-shape scenario. At batch 256
+/// every wide layer's GEMMs split into several row chunks (gemm_row_grain
+/// in tensor.cpp targets 1M multiply-adds per chunk): the 128->256 and
+/// 256->128 forwards run 32-row chunks (8 per batch), their dW = X^T dY
+/// 16- and 32-row chunks of C (8 each) and their dX 32-row chunks (8),
+/// and the 66->128 forward runs 124-row chunks (3). So at 2 threads the
+/// chunks really run on different threads, which the {12, 32, 16, 1}
+/// golden above (one chunk per GEMM) cannot show. Captured at 1 thread.
+constexpr std::uint64_t kPaperEpochLoss[2] = {0x3fea40947b73290bull,
+                                              0x3fe18109aab82308ull};
+constexpr std::uint32_t kPaperLogits[11] = {
+    0xbf330fe3u, 0x3e23ea65u, 0xbf0278c1u, 0x3f3b0369u, 0xbf7f749bu, 0xbfd37233u,
+    0xbf9d3083u, 0x3ec0733bu, 0xbf3de7e2u, 0xbf94b08fu, 0xbed482d2u};
+constexpr std::uint32_t kPaperWeightsXor = 0xbe0983c6u;
+
+TEST(WorkspaceGolden, PaperMlpTrainingSplitAcrossThreadsMatchesPinnedBits) {
+    expect_paper_training_bits("scalar", kPaperEpochLoss, kPaperLogits, kPaperWeightsXor);
 }
 
 /// Replica of the trainer's inner loop (gather, jitter, forward, loss,

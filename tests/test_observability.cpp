@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "common/alloc_counter.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "common/telemetry/flight_recorder.hpp"
 #include "common/telemetry/quantile_sketch.hpp"
 #include "common/trace.hpp"
 #include "envsim/simulation.hpp"
@@ -226,6 +228,42 @@ TEST(TraceSpans, ThreadBeyondSlotTableDropsUntilReEnabled) {
     ASSERT_EQ(events.size(), 1u);
     EXPECT_STREQ(events[0].name, "test.rejoined");
     EXPECT_EQ(common::trace_dropped_events(), 0u);
+}
+
+// The default slot tables are sized from the pool, not a fixed 64 rings:
+// at 4 threads the caller and all three workers each get a ring, in both
+// recorders, and nothing is dropped.
+TEST(TraceSpans, DefaultSlotTableRecordsCallerAndEveryPoolWorker) {
+    ObservabilityGuard guard;
+    common::set_execution_config({.threads = 4});
+    common::trace_enable();
+    common::flight_enable();
+
+    // Four chunks that each wait until all four have started: the caller
+    // drains one, so each of the three workers must run one of the others.
+    std::atomic<int> started{0};
+    const std::uint64_t t0 = common::trace_now_ns();
+    common::parallel_for_chunks(4, 1, [&](std::size_t, std::size_t) {
+        common::trace_instant("test.chunk");
+        common::flight_record("test", "chunk", 0.0, 0.0);
+        started.fetch_add(1);
+        while (started.load() < 4 && common::trace_seconds_since(t0) < 20.0)
+            std::this_thread::yield();
+    });
+    common::trace_disable();
+    common::flight_disable();
+    ASSERT_EQ(started.load(), 4);
+
+    std::set<std::uint32_t> trace_tids, flight_tids;
+    for (const common::TraceEvent& e : common::trace_snapshot())
+        if (std::string_view(e.name) == "test.chunk") trace_tids.insert(e.tid);
+    for (const common::FlightEvent& e : common::flight_snapshot())
+        if (std::string_view(e.label) == "chunk") flight_tids.insert(e.tid);
+    EXPECT_EQ(trace_tids.size(), 4u) << "one trace ring per thread";
+    EXPECT_EQ(flight_tids.size(), 4u) << "one flight ring per thread";
+    EXPECT_EQ(common::trace_dropped_events(), 0u);
+    EXPECT_EQ(common::flight_dropped_events(), 0u);
+    common::flight_reset();
 }
 
 TEST(TraceSpans, SimulatorEmitsTickEventAndSampleSpans) {

@@ -25,8 +25,10 @@ Content assertions (CI wiring, see .github/workflows/ci.yml):
     repeatable, used to assert the fusion ladder walk under injected
     link faults;
   * --require-window-quantile resilient.predict_us [--min-count N] fails
-    unless the named window is present with its quantile keys (and saw
-    >= N samples), proving the serving path actually recorded latency.
+    unless the named window is present with its quantile keys, saw >= N
+    samples and dropped none as late, proving the serving path actually
+    recorded latency inside the window (a late sample arrived behind the
+    window's stream time and was never recorded).
 
 Exit status: 0 when every check passes, 1 otherwise (all failures are
 listed, not just the first).
@@ -208,6 +210,9 @@ def main() -> int:
             c.expect(is_num(count) and count >= args.min_count,
                      f"windows[{name}]: count {count} < "
                      f"required {args.min_count}")
+            late = w.get("late_dropped", 0)
+            c.expect(is_num(late) and late == 0,
+                     f"windows[{name}]: {late} samples dropped as late")
 
         verdicts = {v.get("name"): v for v in doc.get("slo") or []
                     if isinstance(v, dict)}
