@@ -200,9 +200,9 @@ int main(int argc, char** argv) {
 
     core::MultiLinkConfig mcfg;
     mcfg.n_links = kLinks;
-    mcfg.resilient.full.train_stride =
+    mcfg.full.train_stride =
         std::max<std::size_t>(1, split.train.size() / 25000);
-    mcfg.resilient.fallback.train_stride = mcfg.resilient.full.train_stride;
+    mcfg.fallback.train_stride = mcfg.full.train_stride;
 
     const std::uint64_t t0 = common::trace_now_ns();
     core::MultiLinkDetector det(mcfg);

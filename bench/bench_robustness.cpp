@@ -1,7 +1,7 @@
 // Robustness curve: occupancy-detection accuracy on Table IV fold 1 as the
-// sensing pipeline degrades. The same trained ResilientDetector (full
-// CSI+Env model + Env-only fallback + stale-hold policy) is evaluated under
-// fault intensities of 0 / 1 / 5 / 10 / 25 %, where intensity x% scales a
+// sensing pipeline degrades. The same trained one-link MultiLinkDetector
+// (full CSI+Env model + Env-only fallback + stale-hold policy) is evaluated
+// under fault intensities of 0 / 1 / 5 / 10 / 25 %, where intensity x% scales a
 // reference fault mix (frame drops, NaN/Inf/saturation corruption,
 // subcarrier dropout, outage bursts, env-sensor stalls) by x/100. The
 // 0%-point must match the plain detector bitwise — fault decision streams
@@ -12,7 +12,7 @@
 
 #include "bench_common.hpp"
 #include "common/fault.hpp"
-#include "core/resilient_detector.hpp"
+#include "core/link_fusion.hpp"
 #include "envsim/simulation.hpp"
 
 namespace {
@@ -46,7 +46,7 @@ struct FaultyEvalResult {
 /// Stream a test fold through the detector with the fault plan applied on
 /// top of the clean records (drops/bursts withhold the frame, corruption
 /// mangles amplitudes, stalls withhold env readings).
-FaultyEvalResult evaluate_under_faults(wifisense::core::ResilientDetector& det,
+FaultyEvalResult evaluate_under_faults(wifisense::core::MultiLinkDetector& det,
                                        const wifisense::data::DatasetView& fold,
                                        const wifisense::common::FaultPlan& plan,
                                        double full_scale) {
@@ -55,18 +55,20 @@ FaultyEvalResult evaluate_under_faults(wifisense::core::ResilientDetector& det,
     std::uint64_t correct = 0;
     for (std::size_t i = 0; i < fold.size(); ++i) {
         const data::SampleRecord& rec = fold[i];
-        core::Observation obs;
+        core::LinkFrame frame;
+        core::MultiLinkObservation obs;
         obs.timestamp = rec.timestamp;
+        obs.links = std::span<const core::LinkFrame>(&frame, 1);
 
         const common::PacketFault fault = plan.packet_fault(i);
         const bool lost =
             plan.active() && (fault.dropped || plan.csi_offline(rec.timestamp));
         if (!lost) {
-            obs.has_csi = true;
-            obs.csi = rec.csi;
+            frame.present = true;
+            frame.csi = rec.csi;
             if (fault.any())
                 common::apply_packet_fault(
-                    obs.csi, fault, full_scale,
+                    frame.csi, fault, full_scale,
                     plan.config().subcarrier_dropout_fraction);
         }
 
@@ -76,12 +78,12 @@ FaultyEvalResult evaluate_under_faults(wifisense::core::ResilientDetector& det,
             obs.humidity_pct = rec.humidity_pct;
         }
 
-        const core::DetectorDecision d = det.process(obs);
-        if (d.prediction == static_cast<int>(rec.occupancy)) ++correct;
-        switch (d.mode) {
-            case core::DetectorMode::kFull: r.full_frac += 1.0; break;
-            case core::DetectorMode::kEnvOnly: r.env_only_frac += 1.0; break;
-            case core::DetectorMode::kStaleHold: r.stale_frac += 1.0; break;
+        const core::FusionDecision d = det.process(obs);
+        if (d.base.prediction == static_cast<int>(rec.occupancy)) ++correct;
+        switch (d.tier) {
+            case core::FusionTier::kEnvOnly: r.env_only_frac += 1.0; break;
+            case core::FusionTier::kStaleHold: r.stale_frac += 1.0; break;
+            default: r.full_frac += 1.0; break;  // one link: full fusion
         }
     }
     const double n = static_cast<double>(fold.size());
@@ -106,12 +108,13 @@ int main(int argc, char** argv) {
     const data::FoldSplit split = data::split_paper_folds(ds);
     const data::DatasetView fold1 = split.test[0];
 
-    core::ResilientConfig rcfg;
-    rcfg.full.train_stride = std::max<std::size_t>(1, split.train.size() / 25000);
-    rcfg.fallback.train_stride = rcfg.full.train_stride;
+    core::MultiLinkConfig cfg;
+    cfg.n_links = 1;
+    cfg.full.train_stride = std::max<std::size_t>(1, split.train.size() / 25000);
+    cfg.fallback.train_stride = cfg.full.train_stride;
 
     const std::uint64_t t0 = common::trace_now_ns();
-    core::ResilientDetector det(rcfg);
+    core::MultiLinkDetector det(cfg);
     det.fit(split.train);
     report.metric("train_s", common::trace_seconds_since(t0));
 

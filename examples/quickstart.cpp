@@ -257,9 +257,9 @@ int main(int argc, char** argv) {
         const data::FoldSplit msplit = data::split_paper_folds(fused);
         core::MultiLinkConfig mcfg;
         mcfg.n_links = n_links;
-        mcfg.resilient.full.train_stride =
+        mcfg.full.train_stride =
             std::max<std::size_t>(1, msplit.train.size() / 25000);
-        mcfg.resilient.fallback.train_stride = mcfg.resilient.full.train_stride;
+        mcfg.fallback.train_stride = mcfg.full.train_stride;
         core::MultiLinkDetector mdet(mcfg);
         mdet.calibrate_links(link_sets, 0, msplit.train.size())
             .throw_if_error();

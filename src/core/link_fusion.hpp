@@ -1,25 +1,33 @@
-// Link-loss graceful degradation: fuse N receiver links into one CSI
-// observation for the ResilientDetector, stepping down a fixed ladder as
-// links die instead of falling over.
+// Graceful-degradation front end for the occupancy detector: N receiver
+// links fused into one CSI observation, two models (full CSI+Env and an
+// Env-only fallback) and one ladder that steps down as links die and
+// streams go dark, instead of falling over.
 //
-//   kFullFusion    every link healthy and contributing -> element-wise mean
-//                  CSI over all N links (what the fused model trained on).
-//   kSubsetFusion  1 < k < N links usable -> mean over the survivors;
+//   kFullFusion    every link voted -> element-wise mean CSI over all N
+//                  links (what the fused model trained on) -> CSI+Env model.
+//   kSubsetFusion  1 < k < N links voted -> mean over the survivors;
 //                  confidence scaled by sqrt(k/N) (fewer independent looks
 //                  at the room, higher variance of the fused frame).
-//   kSingleLink    one usable link left -> its frame alone, sqrt(1/N)
+//   kSingleLink    one of N > 1 links voted -> its frame alone, sqrt(1/N)
 //                  confidence scale.
-//   kEnvOnly /     no usable CSI at all -> the wrapped ResilientDetector's
-//   kStaleHold     own env-fallback / hold ladder takes over unchanged.
+//   kEnvOnly       no vote, or the fused stream's CSI health under its
+//                  floor, but env values fresh or forward-held within their
+//                  budget -> Env-only model (the paper's Table IV shows Env
+//                  alone still reaches ~93-98% on most folds).
+//   kStaleHold     both streams dark -> hold the last model-backed
+//                  probability, decaying it toward the 0.5 prior with time
+//                  constant `stale_confidence_tau_s`. Never extrapolates.
 //
-// A link contributes only when it delivered a finite frame this instant AND
-// its validity EWMA (core/stream_health.hpp LinkHealthBank) sits above the
-// configured floor — a mostly-dead link's occasional frame is worse than no
-// frame, because the fused mean would mix training-distribution frames with
-// outliers. With every link alive and clean, the fused frame equals the
-// plain N-link mean and the wrapped detector sees exactly what it saw in
-// training; with one link configured, fusion is the identity and the ladder
-// collapses onto the wrapped detector's own modes.
+// A present frame first has its non-finite amplitudes forward-filled from
+// that link's own last usable frame (data::forward_fill_csi under the
+// data::ValidationPolicy defaults: a 5 s donor age, at most half the
+// subcarriers bad). A link then votes when its frame is usable and, with
+// N > 1, its validity EWMA (core/stream_health.hpp LinkHealthBank) sits at
+// or above the configured floor and is not stale — a mostly-dead link's
+// occasional frame is worse than no frame, because the fused mean would mix
+// training-distribution frames with outliers. With one link there is no
+// mean to pollute, so only the fused stream's own CSI health floor applies,
+// and a one-link detector is the single-stream detector exactly.
 //
 // Subset re-centering: each link sees the room through its own multipath
 // geometry, so per-link amplitude baselines differ, and a mean over k < N
@@ -33,6 +41,10 @@
 // (shared across links) intact. The correction applies only when
 // used < n_links, so the full-fusion path is bitwise unaffected; without
 // calibration the detector behaves exactly as before.
+//
+// Contract: once fitted, process() never throws on data content and never
+// emits NaN/Inf — under 100% CSI loss it reports degraded health and keeps
+// producing finite, clamped probabilities.
 #pragma once
 
 #include <array>
@@ -43,10 +55,11 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "core/resilient_detector.hpp"
+#include "core/occupancy_detector.hpp"
 #include "core/stream_health.hpp"
 #include "data/dataset.hpp"
 #include "data/record.hpp"
+#include "data/record_validator.hpp"
 
 namespace wifisense::core {
 
@@ -78,9 +91,21 @@ enum class FusionTier : std::uint8_t {
 
 std::string to_string(FusionTier tier);
 
+struct DetectorDecision {
+    /// P(occupied); always finite, in [0,1].
+    double probability = 0.5;
+    int prediction = 0;  ///< probability > 0.5
+    /// 2*|p-0.5| scaled by the health of the stream that produced it (and
+    /// by sqrt(k/N) below full fusion); decays exponentially in kStaleHold.
+    /// In [0,1].
+    double confidence = 0.0;
+    double csi_health = 0.0;    ///< EWMA of "some link voted"
+    double env_health = 0.0;
+    bool csi_repaired = false;  ///< a link's bad subcarriers imputed this tick
+    bool env_held = false;      ///< env values forward-held this tick
+};
+
 struct FusionDecision {
-    /// The wrapped detector's decision on the fused observation, with
-    /// confidence already scaled for the surviving-link count.
     DetectorDecision base;
     FusionTier tier = FusionTier::kStaleHold;
     std::uint32_t links_used = 0;
@@ -89,14 +114,32 @@ struct FusionDecision {
 
 struct MultiLinkConfig {
     std::size_t n_links = 4;
-    ResilientConfig resilient;
+    /// Model configurations. Feature sets are forced (kCsiEnv / kEnv)
+    /// regardless of what these say.
+    DetectorConfig full;
+    DetectorConfig fallback;
+
+    StreamHealthConfig csi_health;
+    StreamHealthConfig env_health;
     StreamHealthConfig link_health;
-    /// A link below this validity EWMA (or stale) loses its vote even when a
-    /// frame shows up.
+
+    /// Below this fused-stream CSI validity EWMA the full model is not
+    /// trusted even when a frame arrives (a mostly-dead stream yields frames
+    /// the training distribution never covered).
+    double csi_health_floor = 0.5;
+    /// With more than one link, a link below this validity EWMA (or stale)
+    /// loses its vote even when a usable frame shows up.
     double link_health_floor = 0.3;
+
+    /// Env readings are forward-held up to this age (temperature/humidity
+    /// move on minute scales, so the budget is generous).
+    double env_staleness_budget_s = 120.0;
+
+    /// kStaleHold confidence decay time constant.
+    double stale_confidence_tau_s = 60.0;
 };
 
-/// Per-tier counters over the processed stream.
+/// Counters over the lifetime of the processed stream.
 struct FusionStats {
     std::uint64_t observations = 0;
     std::uint64_t full_fusion = 0;
@@ -105,18 +148,23 @@ struct FusionStats {
     std::uint64_t env_only = 0;
     std::uint64_t stale_hold = 0;
     std::uint64_t link_frames_seen = 0;
-    std::uint64_t link_frames_rejected = 0;  ///< present but non-finite/unhealthy
+    std::uint64_t link_frames_rejected = 0;  ///< present but unusable/unhealthy
+    std::uint64_t csi_frames_repaired = 0;
+    std::uint64_t csi_values_imputed = 0;
+    std::uint64_t env_ticks_held = 0;
 };
 
-/// N-link front end over a ResilientDetector. Fit on the fused training
-/// stream (see fused_dataset), then feed one MultiLinkObservation per sample
-/// instant. Once fitted, process() never throws on data content and always
-/// returns finite probabilities/confidences in [0,1].
+/// The benchmark under perfbench/ still names the stats by this alias.
+using ResilienceStats = FusionStats;
+
+/// Fit on the fused training stream (see fused_dataset), then feed one
+/// MultiLinkObservation per sample instant.
 class MultiLinkDetector {
 public:
     explicit MultiLinkDetector(MultiLinkConfig cfg = {});
 
-    /// Train the wrapped detector on an (already fused) training fold.
+    /// Trains both models (full on CSI+Env, fallback on Env) on the same
+    /// (already fused) fold. Returns the full model's history.
     nn::TrainHistory fit(const data::DatasetView& fused_train);
 
     /// Record per-link per-subcarrier amplitude baselines over rows
@@ -132,31 +180,55 @@ public:
         std::size_t row_end = static_cast<std::size_t>(-1));
     [[nodiscard]] bool calibrated() const { return calibrated_; }
 
-    /// Fuse + infer one instant. Observations must arrive in non-decreasing
-    /// timestamp order; obs.links.size() must equal config().n_links.
+    /// Repair, fuse, triage and infer one instant. Observations must arrive
+    /// in non-decreasing timestamp order; obs.links.size() must equal
+    /// config().n_links. Throws only on that API misuse or when unfitted.
     FusionDecision process(const MultiLinkObservation& obs);
 
-    /// Forget stream state (link health, the wrapped detector's stream
-    /// state) and zero the counters, keeping the trained models.
+    /// Forget all stream state (health trackers, forward-fill donors, held
+    /// values and decision) and zero the counters, keeping the trained
+    /// models and the calibration. Use between independent streams.
     void reset_stream();
 
     [[nodiscard]] const FusionStats& stats() const { return stats_; }
     [[nodiscard]] const MultiLinkConfig& config() const { return cfg_; }
     [[nodiscard]] const LinkHealthBank& link_health() const { return health_; }
-    ResilientDetector& detector() { return detector_; }
-    [[nodiscard]] bool fitted() const { return detector_.fitted(); }
+    [[nodiscard]] bool fitted() const { return fitted_; }
+    OccupancyDetector& full_model() { return full_; }
+    OccupancyDetector& fallback_model() { return fallback_; }
+    /// The benchmark under perfbench/ still reaches the models through it.
+    MultiLinkDetector& detector() { return *this; }
 
 private:
     MultiLinkConfig cfg_;
-    ResilientDetector detector_;
+    OccupancyDetector full_;
+    OccupancyDetector fallback_;
+    bool fitted_ = false;
+
     LinkHealthBank health_;
+    StreamHealth csi_health_;
+    StreamHealth env_health_;
     FusionStats stats_;
-    bool calibrated_ = false;
-    /// Last emitted fusion tier and per-link voting mask, so the flight
-    /// recorder logs transitions and vote flips instead of every tick.
+
+    // Forward-fill state: one CSI donor per link, the last fresh env reading.
+    std::vector<data::CsiDonor> donors_;
+    bool has_last_env_ = false;
+    double last_env_t_ = 0.0;
+    float last_temp_ = 0.0f;
+    float last_hum_ = 0.0f;
+
+    // Last model-backed decision, for kStaleHold.
+    bool has_last_decision_ = false;
+    double last_decision_t_ = 0.0;
+    double last_decision_p_ = 0.5;
+
+    /// Last emitted tier and per-link voting mask, so the flight recorder
+    /// logs transitions and vote flips instead of every tick.
     FusionTier prev_tier_ = FusionTier::kStaleHold;
     bool has_prev_tier_ = false;
     std::uint64_t prev_voting_mask_ = 0;
+
+    bool calibrated_ = false;
     /// Per-link per-subcarrier amplitude baseline (calibrate_links).
     std::vector<std::array<double, data::kNumSubcarriers>> link_mu_;
     /// Mean of link_mu_ over every link: the baseline the fused model saw.

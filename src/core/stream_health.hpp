@@ -1,10 +1,10 @@
 // Per-stream health tracking for the degradation policy: an exponentially
 // weighted validity average (continuous-time EWMA, so irregular observation
 // spacing is handled correctly) plus a staleness clock on the last good
-// observation. The ResilientDetector keeps one tracker per input stream
-// (CSI, environmental) and switches inference modes on their state; the
-// multi-link fusion stage keeps a LinkHealthBank — one tracker per receiver
-// link — to decide which links still deserve a vote.
+// observation. MultiLinkDetector keeps one tracker per input stream (fused
+// CSI, environmental) and steps down its tier ladder on their state, plus a
+// LinkHealthBank — one tracker per receiver link — to decide which links
+// still deserve a vote.
 #pragma once
 
 #include <cstddef>

@@ -51,7 +51,7 @@ struct PacketJob {
     double timestamp = 0.0;
     csi::PacketNoise noise;
     /// Pre-drawn noise of the extra links (link i+1 at index i); populated
-    /// only by multi-link runs, so the legacy path carries no extra state.
+    /// only by multi-link runs, so a single-link run carries no extra state.
     std::vector<csi::PacketNoise> link_noise;
 };
 
@@ -84,52 +84,19 @@ void fill_record_fields(data::SampleRecord& rec, const TickJob& job,
     rec.activity = job.activity;
 }
 
-/// Single-link flush: the historical parallel synthesis path, untouched so
-/// run() stays bitwise identical to the seed outputs.
+/// The one flush: per tick, one CFR per link (each link's geometry against
+/// the SAME scatterer snapshot — the pure frequency_response overload reads
+/// only immutable channel state), then each link's pre-drawn noise. Records
+/// land in (packet, link) order. Link 0 is the paper's receiver: its bytes
+/// do not depend on the extra links, because its channel, receiver and noise
+/// are the very same objects consuming the very same draws, and a
+/// single-link run is this flush with no extra links.
 // wifisense-lint: allow-call(sink) caller-supplied record sink: it only consumes finished samples and feeds nothing back into simulation state, so it cannot perturb the deterministic replay
 void flush_window(std::vector<TickJob>& window, const csi::ChannelModel& channel,
                   const csi::Receiver& receiver,
-                  const std::function<void(const data::SampleRecord&)>& sink) {
-    if (window.empty()) return;
-    std::vector<std::size_t> offset(window.size() + 1, 0);
-    for (std::size_t i = 0; i < window.size(); ++i)
-        offset[i + 1] = offset[i] + window[i].packets.size();
-
-    std::vector<data::SampleRecord> records(offset.back());
-    common::parallel_for(
-        window.size(),
-        [&](std::size_t ti) {
-            common::TraceScope span("csi.sample");
-            const TickJob& job = window[ti];
-            const std::vector<std::complex<double>> cfr =
-                channel.frequency_response(job.env, job.bodies, job.scatterers);
-            for (std::size_t p = 0; p < job.packets.size(); ++p) {
-                const std::vector<float> amps =
-                    receiver.apply_noise(cfr, job.packets[p].noise);
-                data::SampleRecord& rec = records[offset[ti] + p];
-                fill_record_fields(rec, job, job.packets[p].timestamp);
-                std::copy(amps.begin(), amps.end(), rec.csi.begin());
-            }
-        },
-        /*grain=*/4);
-
-    for (const data::SampleRecord& rec : records) sink(rec);
-    window.clear();
-}
-
-/// Multi-link flush: per tick, one CFR per link (each link's geometry
-/// against the SAME scatterer snapshot — the pure frequency_response
-/// overload reads only immutable channel state), then each link's pre-drawn
-/// noise. Records land in (packet, link) order; link 0's bytes match the
-/// single-link flush exactly because its channel, receiver and noise are the
-/// very same objects consuming the very same draws.
-// wifisense-lint: allow-call(sink) caller-supplied record sink: it only consumes finished samples and feeds nothing back into simulation state, so it cannot perturb the deterministic replay
-void flush_window_links(std::vector<TickJob>& window,
-                        const csi::ChannelModel& channel,
-                        const csi::Receiver& receiver,
-                        std::span<const csi::ChannelModel> link_channels,
-                        std::span<const csi::Receiver> link_receivers,
-                        const LinkRecordSink& sink) {
+                  std::span<const csi::ChannelModel> link_channels,
+                  std::span<const csi::Receiver> link_receivers,
+                  const LinkRecordSink& sink) {
     if (window.empty()) return;
     const std::size_t n_links = 1 + link_channels.size();
     std::vector<std::size_t> offset(window.size() + 1, 0);
@@ -437,12 +404,8 @@ private:
 /// and stops the run once the sample budget is spent.
 class CsiSamplingLP final : public TickProcess {
 public:
-    /// Exactly one of `sink` / `link_sink` is non-null; the link sink routes
-    /// through the multi-link flush.
-    CsiSamplingLP(SimWorld& world,
-                  const std::function<void(const data::SampleRecord&)>* sink,
-                  const LinkRecordSink* link_sink)
-        : TickProcess(world), sink_(sink), link_sink_(link_sink) {}
+    CsiSamplingLP(SimWorld& world, const LinkRecordSink& sink)
+        : TickProcess(world), sink_(sink) {}
 
 private:
     void step(double t, EventQueue& queue) override {
@@ -511,12 +474,8 @@ private:
             w.window_packets += job.packets.size();
             if (!job.packets.empty()) w.window.push_back(std::move(job));
             if (w.window_packets >= kFlushPackets) {
-                if (link_sink_ != nullptr)
-                    flush_window_links(w.window, w.channel, w.receiver,
-                                       w.link_channels, w.link_receivers,
-                                       *link_sink_);
-                else
-                    flush_window(w.window, w.channel, w.receiver, *sink_);
+                flush_window(w.window, w.channel, w.receiver, w.link_channels,
+                             w.link_receivers, sink_);
                 w.window_packets = 0;
             }
         }
@@ -528,8 +487,7 @@ private:
         if (w.next_sample >= w.n_samples) queue.request_stop();
     }
 
-    const std::function<void(const data::SampleRecord&)>* sink_;
-    const LinkRecordSink* link_sink_;
+    const LinkRecordSink& sink_;
 };
 
 }  // namespace
@@ -543,22 +501,21 @@ OfficeSimulator::OfficeSimulator(SimulationConfig cfg) : cfg_(cfg) {
 
 namespace {
 
-/// Shared DES driver: builds the world, wires the five LPs, runs the queue,
-/// flushes the tail window. Exactly one of the sinks is non-null.
-void run_simulation(const SimulationConfig& cfg,
-                    const std::function<void(const data::SampleRecord&)>* sink,
-                    const LinkRecordSink* link_sink) {
+/// The one DES run: builds the world (with cfg.extra_rx links only when
+/// `with_links`), wires the five LPs, runs the queue, flushes the tail window.
+void run_simulation(const SimulationConfig& cfg, const LinkRecordSink& sink,
+                    bool with_links) {
     // Dynamics and event randomness advance on a fixed tick regardless of
     // the CSI sampling rate, so a given seed produces the *same world*
     // (schedules, furniture shuffles, window events, thermal trajectory) at
     // every rate — only the measurement density changes.
-    SimWorld world(cfg, /*with_links=*/link_sink != nullptr);
+    SimWorld world(cfg, with_links);
 
     FurnitureVentilationLP furniture_lp(world);
     OccupantLP occupant_lp(world);
     ThermalLP thermal_lp(world);
     SensorLP sensor_lp(world);
-    CsiSamplingLP csi_lp(world, sink, link_sink);
+    CsiSamplingLP csi_lp(world, sink);
 
     if (world.n_ticks > 0 && world.n_samples > 0) {
         EventQueue queue;
@@ -570,23 +527,20 @@ void run_simulation(const SimulationConfig& cfg,
         csi_lp.register_with(queue);
         queue.run();
     }
-    if (link_sink != nullptr)
-        flush_window_links(world.window, world.channel, world.receiver,
-                           world.link_channels, world.link_receivers,
-                           *link_sink);
-    else
-        flush_window(world.window, world.channel, world.receiver, *sink);
+    flush_window(world.window, world.channel, world.receiver,
+                 world.link_channels, world.link_receivers, sink);
 }
 
 }  // namespace
 
 void OfficeSimulator::run(const std::function<void(const data::SampleRecord&)>& sink) {
-    run_simulation(cfg_, &sink, nullptr);
+    run_simulation(
+        cfg_, [&sink](std::uint8_t, const data::SampleRecord& rec) { sink(rec); },
+        /*with_links=*/false);
 }
 
-void OfficeSimulator::run_links(
-    const std::function<void(std::uint8_t, const data::SampleRecord&)>& sink) {
-    run_simulation(cfg_, nullptr, &sink);
+void OfficeSimulator::run_links(const LinkRecordSink& sink) {
+    run_simulation(cfg_, sink, /*with_links=*/true);
 }
 
 data::Dataset OfficeSimulator::run() {

@@ -7,13 +7,17 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
-#include "core/resilient_detector.hpp"
+#include "common/rng.hpp"
+#include "core/link_fusion.hpp"
 #include "core/stream_health.hpp"
+#include "data/link_ingest.hpp"
 #include "data/record_validator.hpp"
+#include "data/telemetry.hpp"
 #include "envsim/simulation.hpp"
 
 namespace common = wifisense::common;
@@ -409,60 +413,98 @@ data::Dataset trainable_dataset(std::size_t n) {
     return ds;
 }
 
-core::ResilientDetector fitted_detector() {
-    core::ResilientConfig cfg;
+/// What one instant of a single-link stream delivers.
+struct OneLinkTick {
+    double t = 0.0;
+    core::LinkFrame frame;
+    bool has_env = false;
+    float temperature_c = 0.0f;
+    float humidity_pct = 0.0f;
+
+    /// An instant seeing everything the record carries.
+    static OneLinkTick from_record(const data::SampleRecord& r) {
+        OneLinkTick tick;
+        tick.t = r.timestamp;
+        tick.frame.present = true;
+        tick.frame.csi = r.csi;
+        tick.has_env = true;
+        tick.temperature_c = r.temperature_c;
+        tick.humidity_pct = r.humidity_pct;
+        return tick;
+    }
+};
+
+core::FusionDecision feed(core::MultiLinkDetector& det, const OneLinkTick& tick) {
+    core::MultiLinkObservation obs;
+    obs.timestamp = tick.t;
+    obs.has_env = tick.has_env;
+    obs.temperature_c = tick.temperature_c;
+    obs.humidity_pct = tick.humidity_pct;
+    obs.links = std::span<const core::LinkFrame>(&tick.frame, 1);
+    return det.process(obs);
+}
+
+core::FusionDecision feed(core::MultiLinkDetector& det, const data::SampleRecord& r) {
+    return feed(det, OneLinkTick::from_record(r));
+}
+
+core::MultiLinkDetector fitted_detector() {
+    core::MultiLinkConfig cfg;
+    cfg.n_links = 1;
     cfg.full.training.epochs = 4;
     cfg.fallback.training.epochs = 4;
     // Short env hold so a total blackout reaches kStaleHold within the test
     // horizon (records are 1 s apart).
     cfg.env_staleness_budget_s = 5.0;
-    core::ResilientDetector det(cfg);
+    core::MultiLinkDetector det(cfg);
     det.fit(trainable_dataset(600).view());
     return det;
 }
 
 }  // namespace
 
-TEST(ResilientDetector, ThrowsOnlyWhenUnfitted) {
-    core::ResilientDetector det;
-    EXPECT_THROW(det.process(core::Observation{}), std::logic_error);
+TEST(OneLinkLadder, ThrowsOnlyWhenUnfitted) {
+    core::MultiLinkConfig cfg;
+    cfg.n_links = 1;
+    core::MultiLinkDetector det(cfg);
+    EXPECT_THROW(feed(det, OneLinkTick{}), std::logic_error);
 }
 
-TEST(ResilientDetector, FullModeOnCleanStream) {
-    core::ResilientDetector det = fitted_detector();
+TEST(OneLinkLadder, FullFusionOnCleanStream) {
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(600);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < ds.size(); ++i) {
-        const auto d = det.process(core::Observation::from_record(ds[i]));
-        EXPECT_EQ(d.mode, core::DetectorMode::kFull);
-        EXPECT_TRUE(std::isfinite(d.probability));
-        correct += d.prediction == (int)ds[i].occupancy;
+        const auto d = feed(det, ds[i]);
+        EXPECT_EQ(d.tier, core::FusionTier::kFullFusion);
+        EXPECT_TRUE(std::isfinite(d.base.probability));
+        correct += d.base.prediction == (int)ds[i].occupancy;
     }
     EXPECT_GT((double)correct / (double)ds.size(), 0.9);
-    EXPECT_EQ(det.stats().full_mode, ds.size());
+    EXPECT_EQ(det.stats().full_fusion, ds.size());
 }
 
-TEST(ResilientDetector, DegradesThroughEnvOnlyToStaleHoldAndRecovers) {
-    core::ResilientDetector det = fitted_detector();
+TEST(OneLinkLadder, DegradesThroughEnvOnlyToStaleHoldAndRecovers) {
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(400);
 
     // Phase 1: healthy.
     for (std::size_t i = 0; i < 100; ++i) {
-        const auto d = det.process(core::Observation::from_record(ds[i]));
-        EXPECT_EQ(d.mode, core::DetectorMode::kFull);
+        const auto d = feed(det, ds[i]);
+        EXPECT_EQ(d.tier, core::FusionTier::kFullFusion);
     }
 
     // Phase 2: CSI dies, env alive -> env-only once health crosses the floor.
-    core::DetectorMode last_mode = core::DetectorMode::kFull;
+    core::FusionTier last_tier = core::FusionTier::kFullFusion;
     for (std::size_t i = 100; i < 200; ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        o.has_csi = false;
-        const auto d = det.process(o);
-        EXPECT_TRUE(std::isfinite(d.probability));
-        last_mode = d.mode;
+        OneLinkTick tick = OneLinkTick::from_record(ds[i]);
+        tick.frame.present = false;
+        const auto d = feed(det, tick);
+        EXPECT_TRUE(std::isfinite(d.base.probability));
+        last_tier = d.tier;
     }
-    EXPECT_EQ(last_mode, core::DetectorMode::kEnvOnly);
-    EXPECT_GT(det.stats().env_only_mode, 50u);
+    EXPECT_EQ(last_tier, core::FusionTier::kEnvOnly);
+    EXPECT_GT(det.stats().env_only, 50u);
 
     // Phase 3: both streams dark. Env values are forward-held for the first
     // few seconds (env-only), then the detector enters stale hold with
@@ -470,16 +512,16 @@ TEST(ResilientDetector, DegradesThroughEnvOnlyToStaleHoldAndRecovers) {
     double prev_conf = 1.1;
     std::size_t stale_ticks = 0;
     for (std::size_t i = 200; i < 300; ++i) {
-        core::Observation o;
-        o.timestamp = ds[i].timestamp;
-        const auto d = det.process(o);
-        ASSERT_TRUE(std::isfinite(d.probability));
-        EXPECT_GE(d.probability, 0.0);
-        EXPECT_LE(d.probability, 1.0);
-        EXPECT_NE(d.mode, core::DetectorMode::kFull);
-        if (d.mode == core::DetectorMode::kStaleHold) {
-            if (stale_ticks > 0) EXPECT_LE(d.confidence, prev_conf);
-            prev_conf = d.confidence;
+        OneLinkTick tick;
+        tick.t = ds[i].timestamp;
+        const auto d = feed(det, tick);
+        ASSERT_TRUE(std::isfinite(d.base.probability));
+        EXPECT_GE(d.base.probability, 0.0);
+        EXPECT_LE(d.base.probability, 1.0);
+        EXPECT_NE(d.tier, core::FusionTier::kFullFusion);
+        if (d.tier == core::FusionTier::kStaleHold) {
+            if (stale_ticks > 0) EXPECT_LE(d.base.confidence, prev_conf);
+            prev_conf = d.base.confidence;
             ++stale_ticks;
         }
     }
@@ -488,74 +530,356 @@ TEST(ResilientDetector, DegradesThroughEnvOnlyToStaleHoldAndRecovers) {
     EXPECT_LT(prev_conf, 0.25);   // long outage decays toward "don't know"
 
     // Phase 4: CSI returns -> recovery to full once health rebuilds.
-    core::DetectorMode final_mode = core::DetectorMode::kStaleHold;
+    core::FusionTier final_tier = core::FusionTier::kStaleHold;
     for (std::size_t i = 300; i < 400; ++i) {
-        const auto d = det.process(core::Observation::from_record(ds[i]));
-        final_mode = d.mode;
-        EXPECT_TRUE(std::isfinite(d.probability));
+        const auto d = feed(det, ds[i]);
+        final_tier = d.tier;
+        EXPECT_TRUE(std::isfinite(d.base.probability));
     }
-    EXPECT_EQ(final_mode, core::DetectorMode::kFull);
+    EXPECT_EQ(final_tier, core::FusionTier::kFullFusion);
 }
 
-TEST(ResilientDetector, HundredPercentCsiDropoutNeverThrowsOrEmitsNaN) {
-    core::ResilientDetector det = fitted_detector();
+TEST(OneLinkLadder, HundredPercentCsiDropoutNeverThrowsOrEmitsNaN) {
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(500);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < ds.size(); ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        o.has_csi = false;  // total CSI loss
-        const auto d = det.process(o);
-        ASSERT_TRUE(std::isfinite(d.probability));
-        ASSERT_GE(d.probability, 0.0);
-        ASSERT_LE(d.probability, 1.0);
-        EXPECT_NE(d.mode, core::DetectorMode::kFull);
-        correct += d.prediction == (int)ds[i].occupancy;
+        OneLinkTick tick = OneLinkTick::from_record(ds[i]);
+        tick.frame.present = false;  // total CSI loss
+        const auto d = feed(det, tick);
+        ASSERT_TRUE(std::isfinite(d.base.probability));
+        ASSERT_GE(d.base.probability, 0.0);
+        ASSERT_LE(d.base.probability, 1.0);
+        EXPECT_NE(d.tier, core::FusionTier::kFullFusion);
+        correct += d.base.prediction == (int)ds[i].occupancy;
     }
-    EXPECT_EQ(det.stats().full_mode, 0u);
+    EXPECT_EQ(det.stats().full_fusion, 0u);
     // Env features still carry the label: the fallback keeps detecting.
     EXPECT_GT((double)correct / (double)ds.size(), 0.8);
 }
 
-TEST(ResilientDetector, AllNaNFramesAreHandledLikeDrops) {
-    core::ResilientDetector det = fitted_detector();
+TEST(OneLinkLadder, AllNaNFramesAreHandledLikeDrops) {
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(300);
     for (std::size_t i = 0; i < ds.size(); ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        for (auto& a : o.csi) a = std::numeric_limits<float>::quiet_NaN();
-        const auto d = det.process(o);
-        ASSERT_TRUE(std::isfinite(d.probability));
-        EXPECT_NE(d.mode, core::DetectorMode::kFull);
+        OneLinkTick tick = OneLinkTick::from_record(ds[i]);
+        for (auto& a : tick.frame.csi) a = std::numeric_limits<float>::quiet_NaN();
+        const auto d = feed(det, tick);
+        ASSERT_TRUE(std::isfinite(d.base.probability));
+        EXPECT_NE(d.tier, core::FusionTier::kFullFusion);
     }
 }
 
-TEST(ResilientDetector, RepairsLightCorruptionWithinBudget) {
-    core::ResilientDetector det = fitted_detector();
+TEST(OneLinkLadder, RepairsLightCorruptionWithinBudget) {
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(300);
     // Healthy warm-up so a fresh donor frame exists.
-    for (std::size_t i = 0; i < 10; ++i)
-        det.process(core::Observation::from_record(ds[i]));
-    core::Observation o = core::Observation::from_record(ds[10]);
-    o.csi[5] = std::numeric_limits<float>::quiet_NaN();
-    o.csi[17] = std::numeric_limits<float>::infinity();
-    const auto d = det.process(o);
-    EXPECT_EQ(d.mode, core::DetectorMode::kFull);
-    EXPECT_TRUE(d.csi_repaired);
-    EXPECT_TRUE(std::isfinite(d.probability));
+    for (std::size_t i = 0; i < 10; ++i) feed(det, ds[i]);
+    OneLinkTick tick = OneLinkTick::from_record(ds[10]);
+    tick.frame.csi[5] = std::numeric_limits<float>::quiet_NaN();
+    tick.frame.csi[17] = std::numeric_limits<float>::infinity();
+    const auto d = feed(det, tick);
+    EXPECT_EQ(d.tier, core::FusionTier::kFullFusion);
+    EXPECT_TRUE(d.base.csi_repaired);
+    EXPECT_TRUE(std::isfinite(d.base.probability));
     EXPECT_EQ(det.stats().csi_values_imputed, 2u);
 }
 
-TEST(ResilientDetector, ResetStreamClearsStateButKeepsModels) {
-    core::ResilientDetector det = fitted_detector();
+TEST(OneLinkLadder, ResetStreamClearsStateButKeepsModels) {
+    core::MultiLinkDetector det = fitted_detector();
     const data::Dataset ds = trainable_dataset(100);
     for (std::size_t i = 0; i < 50; ++i) {
-        core::Observation o = core::Observation::from_record(ds[i]);
-        o.has_csi = false;
-        det.process(o);
+        OneLinkTick tick = OneLinkTick::from_record(ds[i]);
+        tick.frame.present = false;
+        feed(det, tick);
     }
     EXPECT_GT(det.stats().observations, 0u);
     det.reset_stream();
     EXPECT_EQ(det.stats().observations, 0u);
     EXPECT_TRUE(det.fitted());
-    const auto d = det.process(core::Observation::from_record(ds[0]));
-    EXPECT_EQ(d.mode, core::DetectorMode::kFull);  // health is fresh again
+    const auto d = feed(det, ds[0]);
+    EXPECT_EQ(d.tier, core::FusionTier::kFullFusion);  // health is fresh again
+}
+
+// ---------------------------------------------------------------------------
+// Pinned ladder digests. The expected values were computed before the
+// single-stream detector and the multi-link front end became one class: the
+// one-link digest on the single-stream detector, the four-link digest on the
+// multi-link front end of the time. Each hashes discrete per-tick fields only
+// (tier, prediction, repaired/held flags, links used), so the pin does not
+// depend on the kernel backend or on libm.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= b[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+std::uint64_t fold_decision(std::uint64_t h, const core::FusionDecision& d,
+                            bool with_links_used) {
+    const std::uint8_t rec[5] = {static_cast<std::uint8_t>(d.tier),
+                                 static_cast<std::uint8_t>(d.base.prediction),
+                                 static_cast<std::uint8_t>(d.base.csi_repaired),
+                                 static_cast<std::uint8_t>(d.base.env_held),
+                                 static_cast<std::uint8_t>(d.links_used)};
+    return fnv1a(h, rec, with_links_used ? 5 : 4);
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+bool in_window(double t, double begin, double end) { return t >= begin && t < end; }
+
+/// 2,400 one-second instants of trainable_dataset under a fixed fault
+/// script. Per-tick draws (splitmix64 of the index) drop 8% of frames,
+/// blank 1-8 subcarriers of 8% (repairable while the donor is fresh),
+/// blank 33-48 of 3% (past the half-frame repair limit) and make 2% of the
+/// env readings NaN. Two CSI outages of 60 s and 90 s pull the link EWMA
+/// to ~0.14 and ~0.05, under the multi-link vote floor; env stalls of 30 s
+/// and 40 s outlast the 5 s hold budget (the second inside the 90 s outage,
+/// so both streams go dark), and a 3 s stall is held.
+std::vector<OneLinkTick> scripted_one_link_stream() {
+    const data::Dataset ds = trainable_dataset(2400);
+    std::vector<OneLinkTick> out;
+    out.reserve(ds.size());
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+        OneLinkTick s = OneLinkTick::from_record(ds[i]);
+        const std::uint64_t h = common::splitmix64(0x1ADDE5ull + i);
+        const std::uint64_t roll = h % 100;
+        if (roll < 8) {
+            s.frame.present = false;
+        } else if (roll < 19) {
+            const std::size_t n_bad =
+                roll < 16 ? 1 + (h >> 8) % 8 : 33 + (h >> 8) % 16;
+            const std::size_t start = (h >> 16) % data::kNumSubcarriers;
+            for (std::size_t j = 0; j < n_bad; ++j) {
+                float& a = s.frame.csi[(start + 5 * j) % data::kNumSubcarriers];
+                a = j % 3 == 0   ? std::numeric_limits<float>::quiet_NaN()
+                    : j % 3 == 1 ? std::numeric_limits<float>::infinity()
+                                 : -std::numeric_limits<float>::infinity();
+            }
+        } else if (roll < 21) {
+            s.temperature_c = std::numeric_limits<float>::quiet_NaN();
+        }
+        if (in_window(s.t, 600.0, 660.0) || in_window(s.t, 1500.0, 1590.0))
+            s.frame.present = false;
+        if (in_window(s.t, 900.0, 930.0) || in_window(s.t, 1540.0, 1580.0) ||
+            in_window(s.t, 2000.0, 2003.0))
+            s.has_env = false;
+        out.push_back(s);
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(LinkFusion, OneLinkDecisionsMatchPinnedDigest) {
+    core::MultiLinkDetector det = fitted_detector();
+    std::uint64_t h = kFnvBasis;
+    double min_link_health = 1.0;
+    for (const OneLinkTick& tick : scripted_one_link_stream()) {
+        const core::FusionDecision d = feed(det, tick);
+        h = fold_decision(h, d, /*with_links_used=*/false);
+        min_link_health = std::min(min_link_health, d.mean_link_health);
+    }
+    // The outage pulled the link under the 0.3 vote floor: a one-link
+    // detector that kept the multi-link vote gate would rejoin full fusion
+    // at different ticks and miss the pin.
+    EXPECT_LT(min_link_health, 0.3);
+    const core::FusionStats& st = det.stats();
+    EXPECT_EQ(st.full_fusion, 1945u);
+    EXPECT_EQ(st.env_only, 395u);
+    EXPECT_EQ(st.stale_hold, 60u);
+    EXPECT_EQ(st.csi_frames_repaired, 154u);
+    EXPECT_EQ(st.csi_values_imputed, 710u);
+    EXPECT_EQ(st.env_ticks_held, 56u);
+    EXPECT_EQ(h, 0x7b5d306426366f26ull);
+}
+
+namespace {
+
+constexpr std::size_t kPinLinks = 4;
+
+/// trainable_dataset seen by four links, each with its own amplitude offset
+/// and noise pattern.
+std::vector<data::Dataset> four_link_datasets(std::size_t n) {
+    const data::Dataset base = trainable_dataset(n);
+    std::vector<data::Dataset> links(kPinLinks);
+    for (std::size_t l = 0; l < kPinLinks; ++l) {
+        links[l].reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            data::SampleRecord r = base[i];
+            for (std::size_t k = 0; k < data::kNumSubcarriers; ++k)
+                r.csi[k] += 0.0004f * static_cast<float>(l) +
+                            0.00005f * static_cast<float>((i * 11 + k * 3 + l * 5) % 7);
+            links[l].push_back(r);
+        }
+    }
+    return links;
+}
+
+core::MultiLinkConfig four_link_config() {
+    core::MultiLinkConfig cfg;
+    cfg.n_links = kPinLinks;
+    cfg.full.training.epochs = 4;
+    cfg.fallback.training.epochs = 4;
+    cfg.env_staleness_budget_s = 5.0;
+    return cfg;
+}
+
+/// Encode -> decode -> reassemble every link under `plan`; slot[l][i] is
+/// link l's frame for instant i (joined by sequence number), or null when
+/// the wire lost it.
+struct WireArrivals {
+    std::vector<std::vector<data::TelemetryFrame>> storage;
+    std::vector<std::vector<const data::TelemetryFrame*>> slot;
+};
+
+WireArrivals transport(const std::vector<data::Dataset>& links,
+                       const common::FaultPlan& plan) {
+    const std::size_t n = links[0].size();
+    WireArrivals w;
+    w.storage.resize(links.size());
+    w.slot.assign(links.size(),
+                  std::vector<const data::TelemetryFrame*>(n, nullptr));
+    for (std::size_t l = 0; l < links.size(); ++l) {
+        data::LinkEncoder enc(static_cast<std::uint8_t>(l), 6, &plan);
+        std::vector<std::uint8_t> bytes;
+        for (std::size_t i = 0; i < n; ++i) enc.encode(links[l][i], bytes);
+        enc.flush(bytes);
+        struct Out final : data::FrameSink {
+            std::vector<data::TelemetryFrame>* v;
+            void on_frame(const data::TelemetryFrame& fr) override {
+                v->push_back(fr);
+            }
+        } out;
+        out.v = &w.storage[l];
+        w.storage[l].reserve(n);
+        data::LinkReassembler reasm;
+        struct Raw final : data::WireSink {
+            data::LinkReassembler* reasm;
+            data::FrameSink* out;
+            void on_frame(const data::TelemetryFrame& fr) override {
+                reasm->push(fr, *out);
+            }
+        } raw;
+        raw.reasm = &reasm;
+        raw.out = &out;
+        data::TelemetryDecoder dec;
+        dec.push(bytes, raw);
+        dec.finish(raw);
+        reasm.flush(out);
+        for (const data::TelemetryFrame& fr : w.storage[l])
+            if (fr.sequence < n) w.slot[l][fr.sequence] = &fr;
+    }
+    return w;
+}
+
+}  // namespace
+
+TEST(LinkFusion, FourLinkWireFaultDecisionsMatchPinnedDigest) {
+    // ChaosSoak-style wire plan: corruption, truncation, reordering,
+    // duplication and 120 s per-link outages (about three per link over
+    // the 2,000 s stream), plus one 30 s env stall. Every delivered frame is
+    // fully finite, so this pins the multi-link ladder as it was.
+    const std::vector<data::Dataset> train = four_link_datasets(600);
+    core::MultiLinkDetector det(four_link_config());
+    ASSERT_TRUE(det.calibrate_links(train).is_ok());
+    det.fit(core::link_dropout_fused(train).view());
+
+    common::FaultConfig f;
+    f.wire_corrupt_rate = 0.03;
+    f.wire_truncate_rate = 0.02;
+    f.wire_reorder_rate = 0.05;
+    f.wire_duplicate_rate = 0.05;
+    f.link_outage_rate_per_h = 6.0;
+    f.link_outage_len_s = 120.0;
+    f.seed = 0x91AEDull;
+    const common::FaultPlan plan(f);
+    const std::vector<data::Dataset> links = four_link_datasets(2000);
+    const WireArrivals w = transport(links, plan);
+
+    std::uint64_t h = kFnvBasis;
+    std::vector<core::LinkFrame> frames(kPinLinks);
+    for (std::size_t i = 0; i < links[0].size(); ++i) {
+        for (std::size_t l = 0; l < kPinLinks; ++l) {
+            frames[l] = core::LinkFrame{};
+            if (w.slot[l][i] != nullptr) {
+                frames[l].present = true;
+                frames[l].csi = w.slot[l][i]->record.csi;
+            }
+        }
+        const data::SampleRecord& r = links[0][i];
+        core::MultiLinkObservation obs;
+        obs.timestamp = r.timestamp;
+        obs.has_env = !in_window(r.timestamp, 1200.0, 1230.0);
+        obs.temperature_c = r.temperature_c;
+        obs.humidity_pct = r.humidity_pct;
+        obs.links = frames;
+        h = fold_decision(h, det.process(obs), /*with_links_used=*/true);
+    }
+    const core::FusionStats& st = det.stats();
+    EXPECT_EQ(st.full_fusion, 635u);
+    EXPECT_EQ(st.subset_fusion, 1179u);
+    EXPECT_EQ(st.single_link, 153u);
+    EXPECT_EQ(st.env_only, 8u);
+    EXPECT_EQ(st.stale_hold, 25u);
+    EXPECT_EQ(st.link_frames_rejected, 140u);
+    EXPECT_EQ(st.csi_frames_repaired, 0u);
+    EXPECT_EQ(h, 0xf2861ab569729b2aull);
+}
+
+TEST(LinkFusion, RepairsPartlyCorruptLinkFromItsOwnDonor) {
+    // A frame with a few bad subcarriers is forward-filled from its own
+    // link's last usable frame and keeps its vote; a frame with more than
+    // half its subcarriers bad is still rejected.
+    const std::vector<data::Dataset> links = four_link_datasets(600);
+    core::MultiLinkDetector det(four_link_config());
+    det.fit(core::fused_dataset(links).view());
+    std::vector<core::LinkFrame> frames(kPinLinks);
+    const auto observe = [&](std::size_t i) {
+        core::MultiLinkObservation obs;
+        obs.timestamp = links[0][i].timestamp;
+        obs.has_env = true;
+        obs.temperature_c = links[0][i].temperature_c;
+        obs.humidity_pct = links[0][i].humidity_pct;
+        obs.links = frames;
+        return det.process(obs);
+    };
+    const auto deliver = [&](std::size_t i) {
+        for (std::size_t l = 0; l < kPinLinks; ++l) {
+            frames[l].present = true;
+            frames[l].csi = links[l][i].csi;
+        }
+    };
+    for (std::size_t i = 0; i < 20; ++i) {  // every link's donor is fresh
+        deliver(i);
+        ASSERT_EQ(observe(i).tier, core::FusionTier::kFullFusion);
+    }
+
+    deliver(20);
+    frames[2].csi[5] = std::numeric_limits<float>::quiet_NaN();
+    frames[2].csi[40] = std::numeric_limits<float>::infinity();
+    const core::FusionDecision repaired = observe(20);
+    EXPECT_EQ(repaired.tier, core::FusionTier::kFullFusion);
+    EXPECT_EQ(repaired.links_used, 4u);
+    EXPECT_TRUE(repaired.base.csi_repaired);
+    EXPECT_EQ(det.stats().csi_frames_repaired, 1u);
+    EXPECT_EQ(det.stats().csi_values_imputed, 2u);
+    EXPECT_EQ(det.stats().link_frames_rejected, 0u);
+
+    deliver(21);
+    for (std::size_t k = 0; k < 33; ++k)
+        frames[1].csi[k] = std::numeric_limits<float>::quiet_NaN();
+    const core::FusionDecision rejected = observe(21);
+    EXPECT_EQ(rejected.tier, core::FusionTier::kSubsetFusion);
+    EXPECT_EQ(rejected.links_used, 3u);
+    EXPECT_FALSE(rejected.base.csi_repaired);
+    EXPECT_EQ(det.stats().csi_frames_repaired, 1u);
+    EXPECT_EQ(det.stats().link_frames_rejected, 1u);
 }

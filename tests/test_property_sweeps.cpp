@@ -5,11 +5,11 @@
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <span>
 
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "core/link_fusion.hpp"
-#include "core/resilient_detector.hpp"
 #include "data/link_ingest.hpp"
 #include "data/telemetry.hpp"
 #include "csi/channel.hpp"
@@ -241,8 +241,8 @@ INSTANTIATE_TEST_SUITE_P(LearningRates, LrSweep,
 // --- chaos soak: random fault plans through the full pipeline ------------------
 //
 // ROADMAP follow-up to the fault-injection layer: ~50 randomly drawn (but
-// seeded) FaultPlans pushed through the simulator and a fitted
-// ResilientDetector. The invariant under ANY plan: process() never throws,
+// seeded) FaultPlans pushed through the simulator and a fitted one-link
+// MultiLinkDetector. The invariant under ANY plan: process() never throws,
 // never emits NaN/Inf, and probability/confidence/health all stay in [0, 1].
 // Plan parameters are derived from substreams of one master seed, so a
 // failure reproduces exactly from the printed plan index.
@@ -297,11 +297,12 @@ TEST(ChaosSoak, RandomFaultPlansNeverThrowNeverNaN) {
     train_cfg.duration_s = 1200.0;
     const wifisense::data::Dataset train_set =
         envsim::OfficeSimulator(train_cfg).run();
-    core::ResilientConfig rcfg;
-    rcfg.full.training.epochs = 3;
-    rcfg.fallback.training.epochs = 3;
-    rcfg.env_staleness_budget_s = 10.0;
-    core::ResilientDetector det(rcfg);
+    core::MultiLinkConfig cfg;
+    cfg.n_links = 1;
+    cfg.full.training.epochs = 3;
+    cfg.fallback.training.epochs = 3;
+    cfg.env_staleness_budget_s = 10.0;
+    core::MultiLinkDetector det(cfg);
     det.fit(train_set.view());
 
     for (std::uint64_t plan_i = 0; plan_i < kPlans; ++plan_i) {
@@ -318,23 +319,29 @@ TEST(ChaosSoak, RandomFaultPlansNeverThrowNeverNaN) {
         ASSERT_NO_THROW(stream = envsim::OfficeSimulator(sim_cfg).run());
 
         // The simulator already dropped/corrupted frames; layer the plan's
-        // packet decisions on top so the has_csi=false and has_env=false
+        // packet decisions on top so the absent-frame and has_env=false
         // triage paths are exercised even on surviving records.
         const common::FaultPlan plan(fcfg);
         det.reset_stream();
         std::size_t violations = 0;
         std::string first_violation;
         for (std::size_t i = 0; i < stream.size(); ++i) {
-            core::Observation obs = core::Observation::from_record(stream[i]);
-            if (plan.packet_fault(i).dropped) obs.has_csi = false;
-            if (plan.env_stalled(obs.timestamp)) obs.has_env = false;
-            core::DetectorDecision d;
+            core::LinkFrame frame;
+            frame.present = !plan.packet_fault(i).dropped;
+            frame.csi = stream[i].csi;
+            core::MultiLinkObservation obs;
+            obs.timestamp = stream[i].timestamp;
+            obs.has_env = !plan.env_stalled(obs.timestamp);
+            obs.temperature_c = stream[i].temperature_c;
+            obs.humidity_pct = stream[i].humidity_pct;
+            obs.links = std::span<const core::LinkFrame>(&frame, 1);
+            core::FusionDecision d;
             try {
                 d = det.process(obs);
             } catch (const std::exception& e) {
                 FAIL() << "process() threw on record " << i << ": " << e.what();
             }
-            const std::string why = decision_violation(d);
+            const std::string why = decision_violation(d.base);
             if (!why.empty() && ++violations == 1)
                 first_violation = "record " + std::to_string(i) + ": " + why;
         }
@@ -417,26 +424,28 @@ TEST(ChaosSoak, TotalBlackoutHoldsFiniteOutputs) {
     train_cfg.duration_s = 900.0;
     const wifisense::data::Dataset train_set =
         envsim::OfficeSimulator(train_cfg).run();
-    core::ResilientConfig rcfg;
-    rcfg.full.training.epochs = 3;
-    rcfg.fallback.training.epochs = 3;
-    rcfg.env_staleness_budget_s = 5.0;
-    core::ResilientDetector det(rcfg);
+    core::MultiLinkConfig cfg;
+    cfg.n_links = 1;
+    cfg.full.training.epochs = 3;
+    cfg.fallback.training.epochs = 3;
+    cfg.env_staleness_budget_s = 5.0;
+    core::MultiLinkDetector det(cfg);
     det.fit(train_set.view());
 
+    const core::LinkFrame absent;
     double last_confidence = 1.0;
     for (std::size_t i = 0; i < 2000; ++i) {
-        core::Observation obs;
+        core::MultiLinkObservation obs;
         obs.timestamp = static_cast<double>(i);
-        obs.has_csi = false;
         obs.has_env = false;
-        const core::DetectorDecision d = det.process(obs);
-        EXPECT_TRUE(decision_violation(d).empty()) << "tick " << i;
+        obs.links = std::span<const core::LinkFrame>(&absent, 1);
+        const core::FusionDecision d = det.process(obs);
+        EXPECT_TRUE(decision_violation(d.base).empty()) << "tick " << i;
         if (i > 10) {
-            EXPECT_EQ(d.mode, core::DetectorMode::kStaleHold) << "tick " << i;
-            EXPECT_LE(d.confidence, last_confidence + 1e-12) << "tick " << i;
+            EXPECT_EQ(d.tier, core::FusionTier::kStaleHold) << "tick " << i;
+            EXPECT_LE(d.base.confidence, last_confidence + 1e-12) << "tick " << i;
         }
-        last_confidence = d.confidence;
+        last_confidence = d.base.confidence;
     }
 }
 
@@ -471,8 +480,8 @@ TEST(ChaosSoak, MultiLinkWireFaultsNeverThrowNeverNaN) {
 
     core::MultiLinkConfig mcfg;
     mcfg.n_links = kLinks;
-    mcfg.resilient.full.training.epochs = 3;
-    mcfg.resilient.fallback.training.epochs = 3;
+    mcfg.full.training.epochs = 3;
+    mcfg.fallback.training.epochs = 3;
     core::MultiLinkDetector det(mcfg);
     det.fit(fused.view());
 

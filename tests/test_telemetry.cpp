@@ -909,8 +909,8 @@ TEST(LinkFusion, DegradationLadderTiersAndConfidences) {
 
     core::MultiLinkConfig mcfg;
     mcfg.n_links = 4;
-    mcfg.resilient.full.train_stride = 2;
-    mcfg.resilient.fallback.train_stride = 2;
+    mcfg.full.train_stride = 2;
+    mcfg.fallback.train_stride = 2;
     core::MultiLinkDetector det(mcfg);
     det.fit(fused.view());
 
@@ -1001,8 +1001,8 @@ TEST(LinkFusion, CalibrationRecentersSubsetAndLeavesFullFusionBitwise) {
 
     core::MultiLinkConfig mcfg;
     mcfg.n_links = 4;
-    mcfg.resilient.full.train_stride = 2;
-    mcfg.resilient.fallback.train_stride = 2;
+    mcfg.full.train_stride = 2;
+    mcfg.fallback.train_stride = 2;
     core::MultiLinkDetector plain(mcfg), calib(mcfg);
     plain.fit(fused.view());
     calib.fit(fused.view());

@@ -3,7 +3,7 @@
 
 Usage:
     bench_compare.py BASELINE CURRENT [--tolerance REL] [--gate KEY]...
-                     [--limit KEY=MAX]... [--perf-gate KEY=REL]...
+                     [--limit KEY=MAX]...
 
 BASELINE and CURRENT are directories holding BENCH_*.json files (or two
 individual files). Records are matched by file name. Performance is
@@ -20,15 +20,9 @@ Gating rules -- the exit status is non-zero iff a gated metric drifts:
   * --limit KEY=MAX is a baseline-free absolute gate: any current record
     carrying KEY fails if its value exceeds MAX (e.g. the quantization
     accuracy-delta ceiling) -- no baseline required;
-  * --perf-gate KEY=REL is a direction-aware performance band against the
-    baseline: keys containing "per_sec" are higher-is-better (fail when
-    current < baseline * (1 - REL)), everything else lower-is-better (fail
-    when current > baseline * (1 + REL)). Use generous REL values -- CI
-    runners are not the machine that recorded the baseline, so this is a
-    catastrophic-regression smoke gate, not a benchmark;
   * wall-clock / timing metrics (key ending in "_s" or containing "wall",
-    "_us_", "rss", "samples_per_sec") are never gated by the strict rules --
-    they are reported informationally (only --perf-gate touches them).
+    "_us_", "rss", "samples_per_sec") are never gated -- they are reported
+    informationally.
 
 Everything else is reported informationally.
 """
@@ -74,10 +68,6 @@ def main() -> int:
     ap.add_argument("--limit", action="append", default=[], metavar="KEY=MAX",
                     help="absolute baseline-free ceiling on a current metric "
                          "(repeatable)")
-    ap.add_argument("--perf-gate", action="append", default=[],
-                    metavar="KEY=REL",
-                    help="direction-aware performance band vs baseline "
-                         "(repeatable; 'per_sec' keys are higher-is-better)")
     args = ap.parse_args()
 
     def parse_kv(spec: str, flag: str) -> tuple[str, float]:
@@ -90,7 +80,6 @@ def main() -> int:
             ap.error(f"{flag} {spec!r}: {value!r} is not a number")
 
     limits = dict(parse_kv(s, "--limit") for s in args.limit)
-    perf_gates = dict(parse_kv(s, "--perf-gate") for s in args.perf_gate)
 
     base = load_records(args.baseline)
     cur = load_records(args.current)
@@ -127,7 +116,7 @@ def main() -> int:
         for key in bm:
             if key not in cm:
                 print(f"  [WARN] {key}: dropped from current run")
-                if "acc" in key or key in args.gate or key in perf_gates:
+                if "acc" in key or key in args.gate:
                     failures.append(f"{name}:{key} missing from current run")
                 continue
             bv, cv = float(bm[key]), float(cm[key])
@@ -138,19 +127,6 @@ def main() -> int:
                 status = "FAIL"
                 failures.append(
                     f"{name}:{key} {bv:.12g} -> {cv:.12g} (rel {drift:.3g})")
-            elif key in perf_gates:
-                rel = perf_gates[key]
-                higher_better = "per_sec" in key
-                bad = (cv < bv * (1.0 - rel)) if higher_better \
-                    else (cv > bv * (1.0 + rel))
-                if bad:
-                    status = "FAIL"
-                    direction = "below" if higher_better else "above"
-                    failures.append(
-                        f"{name}:{key} {cv:.12g} is {direction} the "
-                        f"{rel:.3g} band around baseline {bv:.12g}")
-                else:
-                    status = "perf"
             elif not gated:
                 status = "info"
             print(f"  [{status:4}] {key}: {bv:.12g} -> {cv:.12g}"
