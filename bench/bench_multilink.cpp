@@ -1,21 +1,20 @@
 // Multi-link degradation curve: occupancy-detection accuracy on fold 1 as
 // receiver links die. A 4-link collection (one room, four receivers) is
-// fused for training; at evaluation time every surviving link's records run
-// the full telemetry wire path — LinkEncoder framing, TelemetryDecoder,
-// LinkReassembler — before fusion, so the curve measures the deployed
-// pipeline, not an idealized one. Levels kill 3 / 2 / 1 / 0 of the 4 links
-// (highest ids first; link 0 is the paper's receiver), walking the fusion
-// ladder from kSingleLink up to kFullFusion.
+// fused for training; at evaluation time every surviving link's records are
+// framed by a LinkEncoder and served through core::Pipeline (decode,
+// reassemble, join, fuse), so the curve measures the deployed pipeline, not
+// an idealized one. Levels kill 3 / 2 / 1 / 0 of the 4 links (highest ids
+// first; link 0 is the paper's receiver), walking the fusion ladder from
+// kSingleLink up to kFullFusion.
 //
-// Hard invariants (exit 1 on violation): every fused frame carries the
-// record of its own instant (frames are joined by sequence number), and on
-// a clean wire full-fusion accuracy is at least single-link accuracy —
-// fusing four independent looks at the room must not be worse than the
-// best the paper's single receiver does alone.
+// Hard invariants (exit 1 on violation): every decision carries its own
+// instant's time (frames are joined by sequence number), and on a clean
+// wire full-fusion accuracy is at least single-link accuracy — fusing four
+// independent looks at the room must not be worse than the best the
+// paper's single receiver does alone.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -23,7 +22,7 @@
 #include "common/metrics.hpp"
 #include "common/telemetry/sliding_window.hpp"
 #include "core/link_fusion.hpp"
-#include "data/link_ingest.hpp"
+#include "core/pipeline.hpp"
 #include "data/telemetry.hpp"
 #include "envsim/simulation.hpp"
 
@@ -31,115 +30,23 @@ namespace {
 
 constexpr std::size_t kLinks = 4;
 
-struct CollectFrames final : wifisense::data::WireSink {
-    std::vector<wifisense::data::TelemetryFrame>* out;
-    explicit CollectFrames(std::vector<wifisense::data::TelemetryFrame>& o)
-        : out(&o) {}
-    void on_frame(const wifisense::data::TelemetryFrame& f) override {
-        out->push_back(f);
-    }
-};
-
-struct LevelResult {
-    double accuracy_pct = 0.0;
-    double full_frac = 0.0;
-    double subset_frac = 0.0;
-    double single_frac = 0.0;
-    double other_frac = 0.0;  ///< env-only + stale-hold
-    std::uint64_t frames_decoded = 0;
-    /// Fused frames whose record belongs to another instant (must be 0).
-    std::uint64_t misaligned = 0;
-};
-
-/// Run fold rows [base, base+n) of each alive link through the wire
-/// (encode -> decode -> reassemble), fuse per instant, and score. A non-null
-/// fault plan injects wire/outage faults at the encoder (--fault-plan=SPEC).
-LevelResult evaluate_links_down(
-    wifisense::core::MultiLinkDetector& det,
-    std::span<const wifisense::data::Dataset> links, std::size_t base,
-    std::size_t n, std::size_t alive,
-    const wifisense::common::FaultPlan* faults) {
-    using namespace wifisense;
-    LevelResult r;
-
-    // Wire round-trip per alive link. Frames are joined to instants by
-    // sequence number (the encoder numbers the fold rows 0..n-1), so a frame
-    // lost to an outage or a CRC failure leaves a hole at its own instant
-    // instead of shifting the link's later frames.
-    std::vector<std::vector<data::TelemetryFrame>> frames(alive);
-    for (std::size_t l = 0; l < alive; ++l) {
-        data::LinkEncoder enc(static_cast<std::uint8_t>(l), /*channel=*/6,
-                              faults);
-        std::vector<std::uint8_t> stream;
-        stream.reserve(n * data::kWireFrameBytes);
-        for (std::size_t i = 0; i < n; ++i)
-            enc.encode(links[l][base + i], stream);
-        enc.flush(stream);
-
-        frames[l].reserve(n);
-        struct Reassembled final : data::FrameSink {
-            std::vector<data::TelemetryFrame>* out;
-            void on_frame(const data::TelemetryFrame& f) override {
-                out->push_back(f);
-            }
-        } ordered;
-        std::vector<data::TelemetryFrame> raw;
-        raw.reserve(n);
-        CollectFrames raw_collect(raw);
-        data::TelemetryDecoder dec;
-        dec.push(stream, raw_collect);
-        dec.finish(raw_collect);
-        r.frames_decoded += dec.stats().frames_decoded;
-
-        data::LinkReassembler reasm;
-        ordered.out = &frames[l];
-        for (const data::TelemetryFrame& f : raw) reasm.push(f, ordered);
-        reasm.flush(ordered);
-    }
-
-    std::vector<std::vector<const data::TelemetryFrame*>> by_seq(
-        alive, std::vector<const data::TelemetryFrame*>(n, nullptr));
-    for (std::size_t l = 0; l < alive; ++l)
-        for (const data::TelemetryFrame& f : frames[l])
-            if (f.sequence < n) by_seq[l][f.sequence] = &f;
-
+/// Scores each decided instant of fold 1 against link 0's record.
+struct LevelScore final : wifisense::core::DecisionSink {
+    const wifisense::data::SampleRecord* fold = nullptr;
+    std::size_t n = 0;
     std::uint64_t correct = 0;
-    std::vector<core::LinkFrame> obs_links(kLinks);
-    for (std::size_t i = 0; i < n; ++i) {
-        const data::SampleRecord& ref = links[0][base + i];
-        for (std::size_t l = 0; l < kLinks; ++l) {
-            obs_links[l] = core::LinkFrame{};
-            const data::TelemetryFrame* f = l < alive ? by_seq[l][i] : nullptr;
-            if (f != nullptr) {
-                obs_links[l].present = true;
-                obs_links[l].csi = f->record.csi;
-                if (f->record.timestamp != ref.timestamp) ++r.misaligned;
-            }
-        }
-        core::MultiLinkObservation obs;
-        obs.timestamp = ref.timestamp;
-        obs.has_env = true;
-        obs.temperature_c = ref.temperature_c;
-        obs.humidity_pct = ref.humidity_pct;
-        obs.links = obs_links;
+    /// Decisions whose time is not their own instant's (must be 0).
+    std::uint64_t misaligned = 0;
 
-        const core::FusionDecision d = det.process(obs);
-        if (d.base.prediction == static_cast<int>(ref.occupancy)) ++correct;
-        switch (d.tier) {
-            case core::FusionTier::kFullFusion: r.full_frac += 1.0; break;
-            case core::FusionTier::kSubsetFusion: r.subset_frac += 1.0; break;
-            case core::FusionTier::kSingleLink: r.single_frac += 1.0; break;
-            default: r.other_frac += 1.0; break;
-        }
+    void on_decision(std::uint32_t seq,
+                     const wifisense::core::MultiLinkObservation& obs,
+                     const wifisense::core::FusionDecision& d) override {
+        if (seq >= n || obs.timestamp != fold[seq].timestamp)
+            ++misaligned;
+        else if (d.base.prediction == static_cast<int>(fold[seq].occupancy))
+            ++correct;
     }
-    const double dn = static_cast<double>(n);
-    r.accuracy_pct = 100.0 * static_cast<double>(correct) / dn;
-    r.full_frac /= dn;
-    r.subset_frac /= dn;
-    r.single_frac /= dn;
-    r.other_frac /= dn;
-    return r;
-}
+};
 
 }  // namespace
 
@@ -218,9 +125,14 @@ int main(int argc, char** argv) {
     report.metric("train_s", common::trace_seconds_since(t0));
 
     double acc[kLinks] = {0.0, 0.0, 0.0, 0.0};
-    std::uint64_t misaligned = 0;
+    const common::FaultPlan* plan = faults.active() ? &faults : nullptr;
+    LevelScore score;
+    score.fold = fold1.records().data();
+    score.n = n;
+    core::Pipeline pipeline(det, score);
+    std::vector<std::uint8_t> chunk;
     std::printf("links-down  alive  accuracy   full    subset  single  other\n");
-    // Levels run from one link up to all four. reset_stream() makes them
+    // Levels run from one link up to all four. reset() makes them
     // independent, so the order moves no number; it only decides what the
     // flight recorder keeps: under --fault-plan the last level (every link,
     // real outages) walks full -> subset -> single inside the exported tail.
@@ -229,39 +141,60 @@ int main(int argc, char** argv) {
     // levels 2-4 would arrive in its past and drop as late.
     for (std::size_t alive = 1; alive <= kLinks; ++alive) {
         const std::size_t down = kLinks - alive;
-        det.reset_stream();
+        pipeline.reset();
+        score.correct = 0;
         if (common::metrics_enabled())
             common::obs_window("resilient.predict_us",
                                {.reservoir = common::kLatencyReservoir})
                 .reset();
-        const LevelResult r = evaluate_links_down(
-            det, links, base, n, alive, faults.active() ? &faults : nullptr);
-        acc[down] = r.accuracy_pct;
-        misaligned += r.misaligned;
+        // Encoders number the fold rows 0..n-1; bytes go in instant by instant.
+        std::vector<data::LinkEncoder> encoders;
+        encoders.reserve(alive);
+        for (std::size_t l = 0; l < alive; ++l)
+            encoders.emplace_back(static_cast<std::uint8_t>(l), /*channel=*/6, plan);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t l = 0; l < alive; ++l) {
+                chunk.clear();
+                encoders[l].encode(links[l][base + i], chunk);
+                if (i + 1 == n) encoders[l].flush(chunk);
+                pipeline.push(l, chunk);
+            }
+        }
+        pipeline.finish();
+        std::uint64_t frames_decoded = 0;
+        for (std::size_t l = 0; l < alive; ++l)
+            frames_decoded += pipeline.decoder(l).stats().frames_decoded;
+        const core::FusionStats& st = det.stats();
+        const double dn = static_cast<double>(n);
+        acc[down] = 100.0 * static_cast<double>(score.correct) / dn;
+        const double full = static_cast<double>(st.full_fusion) / dn;
+        const double subset = static_cast<double>(st.subset_fusion) / dn;
+        const double single = static_cast<double>(st.single_link) / dn;
+        const double other = static_cast<double>(
+            n - st.full_fusion - st.subset_fusion - st.single_link) / dn;
         std::printf("%9zu  %5zu  %7.2f%%  %5.1f%%  %5.1f%%  %5.1f%%  %5.1f%%\n",
-                    down, alive, r.accuracy_pct, 100.0 * r.full_frac,
-                    100.0 * r.subset_frac, 100.0 * r.single_frac,
-                    100.0 * r.other_frac);
+                    down, alive, acc[down], 100.0 * full, 100.0 * subset,
+                    100.0 * single, 100.0 * other);
         char key[64];
         std::snprintf(key, sizeof(key), "acc_pct_links_down_%zu", down);
-        report.metric(key, r.accuracy_pct);
+        report.metric(key, acc[down]);
         std::snprintf(key, sizeof(key), "tier_full_frac_%zu", down);
-        report.metric(key, r.full_frac);
+        report.metric(key, full);
         std::snprintf(key, sizeof(key), "tier_subset_frac_%zu", down);
-        report.metric(key, r.subset_frac);
+        report.metric(key, subset);
         std::snprintf(key, sizeof(key), "tier_single_frac_%zu", down);
-        report.metric(key, r.single_frac);
+        report.metric(key, single);
         std::snprintf(key, sizeof(key), "wire_frames_decoded_%zu", down);
-        report.metric(key, static_cast<double>(r.frames_decoded));
+        report.metric(key, static_cast<double>(frames_decoded));
     }
 
     report.write();
 
-    if (misaligned > 0) {
+    if (score.misaligned > 0) {
         std::fprintf(stderr,
-                     "FAIL: %llu fused frames carry a record from another "
-                     "instant — frames must be joined by sequence number\n",
-                     static_cast<unsigned long long>(misaligned));
+                     "FAIL: %llu decisions carry another instant's time — "
+                     "frames must be joined by sequence number\n",
+                     static_cast<unsigned long long>(score.misaligned));
         return 1;
     }
     // The ordering invariant is a clean-wire property; an injected fault plan

@@ -14,13 +14,13 @@
 // and the corrupted stream is then cleaned by data::sanitize_records before
 // training, demonstrating the validating-ingest path end to end.
 //
-// --links=N (2..8) collects N receiver links over the same room, pushes
-// every link through the packed telemetry wire format (LinkEncoder ->
-// TelemetryDecoder -> LinkReassembler, with the fault plan's wire faults
-// applied when one is given), trains on the fused stream, and prints the
-// fold-1 accuracy ladder as links are taken down — full fusion down to a
-// single link (DESIGN.md §17). Link 0 is bitwise identical to the
-// single-link collection, so steps 1-5 are unchanged by the flag.
+// --links=N (2..8) collects N receiver links over the same room, trains on
+// the fused stream, and prints the fold-1 accuracy ladder as links are
+// taken down — full fusion down to a single link (DESIGN.md §17). Each
+// level frames the alive links' fold-1 rows (LinkEncoder, with the fault
+// plan's wire faults when one is given) and serves the bytes through
+// core::Pipeline. Link 0 is bitwise identical to the single-link
+// collection, so steps 1-5 are unchanged by the flag.
 //
 // --trace-out=FILE records the run's spans into a Chrome-trace JSON (open
 // in chrome://tracing or Perfetto); --snapshot-out=FILE writes the telemetry
@@ -51,8 +51,8 @@
 #include "core/experiments.hpp"
 #include "core/link_fusion.hpp"
 #include "core/occupancy_detector.hpp"
+#include "core/pipeline.hpp"
 #include "data/folds.hpp"
-#include "data/link_ingest.hpp"
 #include "data/record_validator.hpp"
 #include "data/simtime.hpp"
 #include "data/telemetry.hpp"
@@ -188,66 +188,9 @@ int main(int argc, char** argv) {
     }
 
     if (n_links > 1) {
-        std::printf("6) multi-link: %zu receivers -> telemetry wire -> fusion "
-                    "ladder (DESIGN.md §17)\n",
+        std::printf("6) multi-link: %zu receivers -> telemetry wire -> core::Pipeline "
+                    "-> fusion ladder (DESIGN.md §17)\n",
                     n_links);
-        common::FaultPlan wire_plan(faults);
-
-        // Wire round-trip every link: encode (wire faults applied when a plan
-        // is active) -> decode -> reassemble back into sequence order.
-        struct Ordered final : data::FrameSink {
-            std::vector<data::TelemetryFrame> frames;
-            void on_frame(const data::TelemetryFrame& f) override {
-                frames.push_back(f);
-            }
-        };
-        struct Raw final : data::WireSink {
-            std::vector<data::TelemetryFrame> frames;
-            void on_frame(const data::TelemetryFrame& f) override {
-                frames.push_back(f);
-            }
-        };
-        const std::size_t n_records = link_sets[0].size();
-        std::uint64_t decoded = 0, defects = 0, gaps = 0, missing = 0, dups = 0;
-        std::vector<Ordered> ordered(n_links);
-        for (std::size_t l = 0; l < n_links; ++l) {
-            data::LinkEncoder enc(static_cast<std::uint8_t>(l), /*channel=*/6,
-                                  have_faults ? &wire_plan : nullptr);
-            std::vector<std::uint8_t> stream;
-            stream.reserve(n_records * data::kWireFrameBytes);
-            for (const data::SampleRecord& rec : link_sets[l].records())
-                enc.encode(rec, stream);
-            enc.flush(stream);
-
-            Raw raw;
-            data::TelemetryDecoder dec;
-            dec.push(stream, raw);
-            dec.finish(raw);
-            data::LinkReassembler reasm;
-            ordered[l].frames.reserve(raw.frames.size());
-            for (const data::TelemetryFrame& f : raw.frames)
-                reasm.push(f, ordered[l]);
-            reasm.flush(ordered[l]);
-            decoded += dec.stats().frames_decoded;
-            defects += dec.stats().defects;
-            gaps += reasm.stats().gaps;
-            missing += reasm.stats().missing_frames;
-            dups += reasm.stats().duplicates_dropped;
-        }
-        std::printf("   wire: %llu frames decoded, %llu defects, %llu gaps "
-                    "(%llu frames lost), %llu duplicates dropped\n",
-                    static_cast<unsigned long long>(decoded),
-                    static_cast<unsigned long long>(defects),
-                    static_cast<unsigned long long>(gaps),
-                    static_cast<unsigned long long>(missing),
-                    static_cast<unsigned long long>(dups));
-
-        // Frames indexed by sequence so faulted holes stay holes.
-        std::vector<std::vector<const data::TelemetryFrame*>> slot(
-            n_links, std::vector<const data::TelemetryFrame*>(n_records, nullptr));
-        for (std::size_t l = 0; l < n_links; ++l)
-            for (const data::TelemetryFrame& f : ordered[l].frames)
-                if (f.sequence < n_records) slot[l][f.sequence] = &f;
 
         // Train on the link-dropout-augmented fused stream (pre-wire): each
         // training row fuses a seeded random link subset, re-centered like
@@ -271,48 +214,63 @@ int main(int argc, char** argv) {
         mdet.fit(aug_train.view());
 
         // Fold-1 accuracy ladder: kill links highest-id first and watch the
-        // fusion tier step down instead of the detector falling over.
+        // fusion tier step down instead of the detector falling over. Each
+        // level serves the alive links' fold-1 wire, instant by instant.
         const data::DatasetView fold1 = msplit.test[0];
         const std::size_t base = static_cast<std::size_t>(
             fold1.records().data() - fused.records().data());
         const std::size_t n = fold1.size();
-        std::vector<core::LinkFrame> obs_links(n_links);
-        std::printf("   links-down  alive  accuracy   full    subset  single  other\n");
+        struct Score final : core::DecisionSink {
+            data::DatasetView fold;
+            std::uint64_t correct = 0;
+            void on_decision(std::uint32_t seq, const core::MultiLinkObservation&,
+                             const core::FusionDecision& d) override {
+                if (seq < fold.size() &&
+                    d.base.prediction == static_cast<int>(fold[seq].occupancy))
+                    ++correct;
+            }
+        } score;
+        score.fold = fold1;
+        core::Pipeline pipeline(mdet, score);
+        const common::FaultPlan wire_plan(faults);
+        std::vector<std::uint8_t> chunk;
+        std::printf("   links-down  alive  accuracy   full    subset  single  other"
+                    "   frames  defects  gaps\n");
         for (std::size_t down = 0; down < n_links; ++down) {
             const std::size_t alive = n_links - down;
-            mdet.reset_stream();
-            std::uint64_t correct = 0, full = 0, subset = 0, single = 0;
+            pipeline.reset();
+            score.correct = 0;
+            std::vector<data::LinkEncoder> encoders;
+            for (std::size_t l = 0; l < alive; ++l)
+                encoders.emplace_back(static_cast<std::uint8_t>(l), /*channel=*/6,
+                                      have_faults ? &wire_plan : nullptr);
             for (std::size_t i = 0; i < n; ++i) {
-                const data::SampleRecord& ref = fold1[i];
-                for (std::size_t l = 0; l < n_links; ++l) {
-                    obs_links[l] = core::LinkFrame{};
-                    const data::TelemetryFrame* f = slot[l][base + i];
-                    if (l < alive && f != nullptr) {
-                        obs_links[l].present = true;
-                        obs_links[l].csi = f->record.csi;
-                    }
+                for (std::size_t l = 0; l < alive; ++l) {
+                    chunk.clear();
+                    encoders[l].encode(link_sets[l][base + i], chunk);
+                    if (i + 1 == n) encoders[l].flush(chunk);
+                    pipeline.push(l, chunk);
                 }
-                core::MultiLinkObservation mobs;
-                mobs.timestamp = ref.timestamp;
-                mobs.has_env = true;
-                mobs.temperature_c = ref.temperature_c;
-                mobs.humidity_pct = ref.humidity_pct;
-                mobs.links = obs_links;
-                const core::FusionDecision d = mdet.process(mobs);
-                if (d.base.prediction == static_cast<int>(ref.occupancy))
-                    ++correct;
-                if (d.tier == core::FusionTier::kFullFusion) ++full;
-                else if (d.tier == core::FusionTier::kSubsetFusion) ++subset;
-                else if (d.tier == core::FusionTier::kSingleLink) ++single;
             }
+            pipeline.finish();
+            unsigned long long frames = 0, defects = 0, gaps = 0;
+            for (std::size_t l = 0; l < alive; ++l) {
+                frames += pipeline.decoder(l).stats().frames_decoded;
+                defects += pipeline.decoder(l).stats().defects;
+                gaps += pipeline.reassembler(l).stats().gaps;
+            }
+            const core::FusionStats& st = mdet.stats();
             const double dn = static_cast<double>(n);
-            std::printf("   %9zu  %5zu  %7.2f%%  %5.1f%%  %5.1f%%  %5.1f%%  %5.1f%%\n",
+            const std::uint64_t csi = st.full_fusion + st.subset_fusion + st.single_link;
+            std::printf("   %9zu  %5zu  %7.2f%%  %5.1f%%  %5.1f%%  %5.1f%%  %5.1f%%"
+                        "  %7llu  %7llu  %4llu\n",
                         down, alive,
-                        100.0 * static_cast<double>(correct) / dn,
-                        100.0 * static_cast<double>(full) / dn,
-                        100.0 * static_cast<double>(subset) / dn,
-                        100.0 * static_cast<double>(single) / dn,
-                        100.0 * static_cast<double>(n - full - subset - single) / dn);
+                        100.0 * static_cast<double>(score.correct) / dn,
+                        100.0 * static_cast<double>(st.full_fusion) / dn,
+                        100.0 * static_cast<double>(st.subset_fusion) / dn,
+                        100.0 * static_cast<double>(st.single_link) / dn,
+                        100.0 * static_cast<double>(n - csi) / dn, frames, defects,
+                        gaps);
         }
     }
 

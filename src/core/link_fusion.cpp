@@ -136,6 +136,11 @@ MultiLinkDetector::MultiLinkDetector(MultiLinkConfig cfg)
 nn::TrainHistory MultiLinkDetector::fit(const data::DatasetView& fused_train) {
     const nn::TrainHistory history = full_.fit(fused_train);
     fallback_.fit(fused_train);
+    // One single-record predict per model sizes its workspaces here, so the
+    // first decision of each tier does not allocate.
+    const data::SampleRecord warm;
+    (void)full_.predict_proba(warm);
+    (void)fallback_.predict_proba(warm);
     fitted_ = true;
     return history;
 }

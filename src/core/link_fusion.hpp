@@ -192,7 +192,6 @@ public:
 
     [[nodiscard]] const FusionStats& stats() const { return stats_; }
     [[nodiscard]] const MultiLinkConfig& config() const { return cfg_; }
-    [[nodiscard]] const LinkHealthBank& link_health() const { return health_; }
     [[nodiscard]] bool fitted() const { return fitted_; }
     OccupancyDetector& full_model() { return full_; }
     OccupancyDetector& fallback_model() { return fallback_; }

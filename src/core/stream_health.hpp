@@ -38,9 +38,6 @@ public:
     /// True when no valid observation landed within `stale_after_s` of `t`.
     bool stale(double t) const;
 
-    double last_good_t() const { return last_good_t_; }
-    bool ever_good() const { return ever_good_; }
-
     void reset();
 
 private:
@@ -59,9 +56,7 @@ class LinkHealthBank {
 public:
     explicit LinkHealthBank(std::size_t n_links, StreamHealthConfig cfg = {});
 
-    std::size_t size() const { return links_.size(); }
     StreamHealth& link(std::size_t i) { return links_[i]; }
-    const StreamHealth& link(std::size_t i) const { return links_[i]; }
 
     void observe(std::size_t link, double t, bool valid) {
         links_[link].observe(t, valid);
@@ -69,9 +64,6 @@ public:
 
     /// Mean health across every link (1.0 for an empty bank).
     double mean_health() const;
-
-    /// Links whose health is at least `floor` and that are not stale at `t`.
-    std::size_t healthy_count(double floor, double t) const;
 
     void reset();
 

@@ -30,22 +30,6 @@ bool forward_fill_csi(std::array<float, kNumSubcarriers>& csi, std::size_t bad,
     return true;
 }
 
-void IngestStats::merge(const IngestStats& other) {
-    total += other.total;
-    accepted += other.accepted;
-    repaired += other.repaired;
-    quarantined += other.quarantined;
-    csi_values_imputed += other.csi_values_imputed;
-    env_values_imputed += other.env_values_imputed;
-    nonfinite_frames += other.nonfinite_frames;
-    saturated_frames += other.saturated_frames;
-    bad_env_records += other.bad_env_records;
-    nonmonotonic_timestamps += other.nonmonotonic_timestamps;
-    gaps += other.gaps;
-    max_gap_s = std::max(max_gap_s, other.max_gap_s);
-    rows_forward_filled += other.rows_forward_filled;
-}
-
 std::string IngestStats::summary() const {
     char buf[256];
     std::snprintf(buf, sizeof(buf),

@@ -105,11 +105,6 @@ struct IngestStats {
     /// streaming validator).
     std::uint64_t rows_forward_filled = 0;
 
-    /// Fold another stream's accounting into this one (counters sum,
-    /// max_gap_s takes the max). Multi-link ingest runs one validator per
-    /// link and merges for fleet-level reporting.
-    void merge(const IngestStats& other);
-
     std::string summary() const;  ///< one-line human-readable digest
 };
 

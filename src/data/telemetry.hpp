@@ -251,7 +251,6 @@ public:
     /// end-of-stream.
     void flush(std::vector<std::uint8_t>& out);
 
-    [[nodiscard]] std::uint32_t next_sequence() const { return seq_; }
     [[nodiscard]] const WireStats& wire_stats() const { return stats_; }
 
 private:

@@ -7,13 +7,16 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <span>
 #include <vector>
 
+#include "common/alloc_counter.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/link_fusion.hpp"
+#include "core/pipeline.hpp"
 #include "core/stream_health.hpp"
 #include "data/link_ingest.hpp"
 #include "data/record_validator.hpp"
@@ -882,4 +885,217 @@ TEST(LinkFusion, RepairsPartlyCorruptLinkFromItsOwnDonor) {
     EXPECT_FALSE(rejected.base.csi_repaired);
     EXPECT_EQ(det.stats().csi_frames_repaired, 1u);
     EXPECT_EQ(det.stats().link_frames_rejected, 1u);
+}
+
+TEST(LinkFusion, ProcessAllocatesNothingAfterFit) {
+    // fit() leaves both models' single-record workspaces sized, so neither
+    // the first full-fusion decision nor the first env-only one, which may
+    // come hours into serving, touches the heap.
+    const std::vector<data::Dataset> links = four_link_datasets(600);
+    core::MultiLinkDetector det(four_link_config());
+    det.fit(core::fused_dataset(links).view());
+    std::vector<core::LinkFrame> frames(kPinLinks);
+    const auto probed = [&](std::size_t i) {
+        core::MultiLinkObservation obs;
+        obs.timestamp = links[0][i].timestamp;
+        obs.has_env = true;
+        obs.temperature_c = links[0][i].temperature_c;
+        obs.humidity_pct = links[0][i].humidity_pct;
+        obs.links = frames;
+        const wifisense::alloc::AllocationProbe probe;
+        const core::FusionDecision d = det.process(obs);
+        EXPECT_EQ(probe.delta(), 0u) << "tick " << i;
+        return d.tier;
+    };
+    for (std::size_t i = 0; i < 20; ++i) {
+        for (std::size_t l = 0; l < kPinLinks; ++l) {
+            frames[l].present = true;
+            frames[l].csi = links[l][i].csi;
+        }
+        ASSERT_EQ(probed(i), core::FusionTier::kFullFusion);
+    }
+    for (core::LinkFrame& f : frames) f.present = false;
+    EXPECT_EQ(probed(20), core::FusionTier::kEnvOnly);
+}
+
+// ---------------------------------------------------------------------------
+// core::Pipeline: per-link wire bytes in, one decision per instant out.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Every field of a decision, doubles as raw bits.
+std::uint64_t fold_full(std::uint64_t h, const core::FusionDecision& d) {
+    const double v[5] = {d.base.probability, d.base.confidence, d.base.csi_health,
+                         d.base.env_health, d.mean_link_health};
+    const std::uint32_t u[5] = {static_cast<std::uint32_t>(d.tier),
+                                static_cast<std::uint32_t>(d.base.prediction),
+                                d.base.csi_repaired, d.base.env_held, d.links_used};
+    return fnv1a(fnv1a(h, v, sizeof(v)), u, sizeof(u));
+}
+
+struct Decided {
+    std::uint32_t seq;
+    double t;
+    bool has_env;
+    core::FusionTier tier;
+};
+
+struct Recorder final : core::DecisionSink {
+    std::vector<Decided> decided;
+    std::uint64_t digest = kFnvBasis;
+    void on_decision(std::uint32_t seq, const core::MultiLinkObservation& obs,
+                     const core::FusionDecision& d) override {
+        decided.push_back({seq, obs.timestamp, obs.has_env, d.tier});
+        digest = fold_full(digest, d);
+    }
+};
+
+enum class Chunking { kWhole, kByteByByte, kRandomSplits };
+
+/// Frames links [0, pushed) (wire faults from `plan`, if any) and pushes
+/// every instant's bytes link by link, cut as `chunking` says. Instants for
+/// which `dark` holds are encoded but never pushed.
+void serve(core::Pipeline& pipeline, const std::vector<data::Dataset>& links,
+           std::size_t pushed, Chunking chunking,
+           const common::FaultPlan* plan = nullptr,
+           bool (*dark)(std::size_t) = nullptr) {
+    std::mt19937_64 rng(0xC40C5);
+    std::vector<data::LinkEncoder> encoders;
+    for (std::size_t l = 0; l < pushed; ++l)
+        encoders.emplace_back(static_cast<std::uint8_t>(l), 6, plan);
+    std::vector<std::uint8_t> chunk;
+    const std::size_t n = links[0].size();
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t l = 0; l < pushed; ++l) {
+            chunk.clear();
+            encoders[l].encode(links[l][i], chunk);
+            if (i + 1 == n) encoders[l].flush(chunk);
+            if (dark != nullptr && dark(i)) continue;
+            std::span<const std::uint8_t> rest(chunk);
+            while (!rest.empty()) {
+                std::size_t take = rest.size();
+                if (chunking == Chunking::kByteByByte) take = 1;
+                if (chunking == Chunking::kRandomSplits) take = 1 + rng() % rest.size();
+                pipeline.push(l, rest.first(take));
+                rest = rest.subspan(take);
+            }
+        }
+    }
+    pipeline.finish();
+}
+
+core::MultiLinkDetector fitted_four_link_detector() {
+    const std::vector<data::Dataset> train = four_link_datasets(600);
+    core::MultiLinkDetector det(four_link_config());
+    EXPECT_TRUE(det.calibrate_links(train).is_ok());
+    det.fit(core::link_dropout_fused(train).view());
+    return det;
+}
+
+}  // namespace
+
+TEST(Pipeline, CleanWireMatchesDirectProcess) {
+    // On a clean wire the pipeline must hand process() exactly what the
+    // records say, wherever the chunks split and however many of the four
+    // configured links deliver.
+    core::MultiLinkDetector det = fitted_four_link_detector();
+    const std::vector<data::Dataset> links = four_link_datasets(300);
+    const std::size_t n = links[0].size();
+    Recorder rec;
+    core::Pipeline pipeline(det, rec);
+    for (const std::size_t pushed : {std::size_t{4}, std::size_t{3}, std::size_t{1}}) {
+        det.reset_stream();
+        std::uint64_t want = kFnvBasis;
+        std::vector<core::LinkFrame> frames(kPinLinks);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t l = 0; l < kPinLinks; ++l) {
+                frames[l].present = l < pushed;
+                frames[l].csi = links[l][i].csi;
+            }
+            core::MultiLinkObservation obs;
+            obs.timestamp = links[0][i].timestamp;
+            obs.has_env = true;
+            obs.temperature_c = links[0][i].temperature_c;
+            obs.humidity_pct = links[0][i].humidity_pct;
+            obs.links = frames;
+            want = fold_full(want, det.process(obs));
+        }
+        for (const Chunking c : {Chunking::kWhole, Chunking::kByteByByte,
+                                 Chunking::kRandomSplits}) {
+            SCOPED_TRACE(testing::Message() << pushed << " links pushed, chunking "
+                                            << static_cast<int>(c));
+            pipeline.reset();
+            rec = Recorder{};
+            serve(pipeline, links, pushed, c);
+            EXPECT_EQ(rec.decided.size(), n);
+            EXPECT_EQ(rec.digest, want);
+        }
+    }
+}
+
+TEST(Pipeline, DecisionsIgnoreGroundTruthFields) {
+    // The payload carries the simulator's labels; zeroing them at encode
+    // time must not move a single decision bit, faulted wire included.
+    core::MultiLinkDetector det = fitted_four_link_detector();
+    std::vector<data::Dataset> links = four_link_datasets(1200);
+    for (data::Dataset& d : links)
+        for (std::size_t i = 0; i < d.size(); ++i) {
+            d[i].room_id = 3 + static_cast<std::uint32_t>(i % 5);
+            d[i].activity = static_cast<std::uint8_t>(1 + i % 2);
+        }
+    std::vector<data::Dataset> blind = links;
+    for (data::Dataset& d : blind)
+        for (std::size_t i = 0; i < d.size(); ++i) {
+            d[i].occupancy = 0;
+            d[i].occupant_count = 0;
+            d[i].activity = 0;
+            d[i].room_id = 0;
+        }
+    common::FaultConfig f;
+    f.wire_corrupt_rate = 0.05;
+    f.wire_truncate_rate = 0.03;
+    f.wire_reorder_rate = 0.05;
+    f.wire_duplicate_rate = 0.05;
+    f.link_outage_rate_per_h = 8.0;
+    f.link_outage_len_s = 60.0;
+    f.link_clock_skew_s = 0.5;
+    f.seed = 0x6A0D;
+    const common::FaultPlan plan(f);
+    Recorder rec;
+    core::Pipeline pipeline(det, rec);
+    serve(pipeline, links, kPinLinks, Chunking::kRandomSplits, &plan);
+    const Recorder labelled = rec;
+    pipeline.reset();
+    rec = Recorder{};
+    serve(pipeline, blind, kPinLinks, Chunking::kRandomSplits, &plan);
+    EXPECT_GT(pipeline.join_stats().timed_out_instants, 0u);
+    ASSERT_EQ(rec.decided.size(), labelled.decided.size());
+    EXPECT_EQ(rec.digest, labelled.digest);
+}
+
+TEST(Pipeline, DarkInstantsDecidedOnceAtSampleTime) {
+    // Every link goes silent for 30 one-second instants, longer than the
+    // join's 16-slot ring, and again for the last 3. The block is still
+    // decided instant by instant at the records' own times, with no env:
+    // the 5 s env hold covers its first five instants, then the ladder
+    // falls to stale-hold. Instants after the last frame are not decided.
+    core::MultiLinkDetector det = fitted_four_link_detector();
+    const std::vector<data::Dataset> links = four_link_datasets(200);
+    Recorder rec;
+    core::Pipeline pipeline(det, rec);
+    serve(pipeline, links, kPinLinks, Chunking::kWhole, nullptr,
+          [](std::size_t i) { return (i >= 100 && i < 130) || i >= 197; });
+    ASSERT_EQ(rec.decided.size(), 197u);
+    for (std::size_t k = 0; k < rec.decided.size(); ++k) {
+        const Decided& d = rec.decided[k];
+        SCOPED_TRACE(testing::Message() << "instant " << k);
+        EXPECT_EQ(d.seq, k);
+        EXPECT_EQ(d.t, links[0][k].timestamp);
+        const bool dark = k >= 100 && k < 130;
+        EXPECT_EQ(d.has_env, !dark);
+        if (dark)
+            EXPECT_EQ(d.tier, k < 105 ? core::FusionTier::kEnvOnly
+                                      : core::FusionTier::kStaleHold);
+    }
 }

@@ -7,10 +7,11 @@
 #include <random>
 #include <span>
 
+#include "common/alloc_counter.hpp"
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "core/link_fusion.hpp"
-#include "data/link_ingest.hpp"
+#include "core/pipeline.hpp"
 #include "data/telemetry.hpp"
 #include "csi/channel.hpp"
 #include "csi/receiver.hpp"
@@ -453,11 +454,12 @@ TEST(ChaosSoak, MultiLinkWireFaultsNeverThrowNeverNaN) {
     // Multi-link extension of the soak: one 4-link collection, then a sweep
     // of random wire-fault plans (corruption, truncation, reordering,
     // duplication, per-link outages, cross-link clock skew). Every link's
-    // records run the full transport — LinkEncoder, hostile-byte
-    // TelemetryDecoder, LinkReassembler — before fusion. The invariant under
-    // ANY plan: MultiLinkDetector::process never throws, probabilities and
-    // confidences stay finite in [0,1], and the tier counters account every
-    // observation.
+    // records are framed by a LinkEncoder and served through core::Pipeline,
+    // each instant's chunk split at a random point. The invariant under ANY
+    // plan: nothing throws, every instant is decided at most once and in
+    // sequence order, probabilities and confidences stay finite in [0,1],
+    // the tier counters account every decision, and nothing allocates from
+    // the first push on.
     namespace common = wifisense::common;
     namespace core = wifisense::core;
     namespace data = wifisense::data;
@@ -485,6 +487,28 @@ TEST(ChaosSoak, MultiLinkWireFaultsNeverThrowNeverNaN) {
     core::MultiLinkDetector det(mcfg);
     det.fit(fused.view());
 
+    struct Check final : core::DecisionSink {
+        std::uint64_t decisions = 0;
+        std::uint64_t out_of_order = 0;
+        std::size_t violations = 0;
+        std::string first_violation;
+        void on_decision(std::uint32_t seq, const core::MultiLinkObservation&,
+                         const core::FusionDecision& d) override {
+            // Exactly once and in order: the k-th decision is sequence k.
+            if (seq != decisions++) ++out_of_order;
+            std::string why = decision_violation(d.base);
+            if (why.empty() &&
+                !(std::isfinite(d.mean_link_health) &&
+                  d.mean_link_health >= 0.0 && d.mean_link_health <= 1.0))
+                why = "mean_link_health outside [0,1] or non-finite";
+            if (why.empty() && d.links_used > kLinks)
+                why = "links_used exceeds link count";
+            if (!why.empty() && ++violations == 1)
+                first_violation = "sequence " + std::to_string(seq) + ": " + why;
+        }
+    } check;
+    core::Pipeline pipeline(det, check);
+
     const std::size_t n = links[0].size();
     for (std::uint64_t plan_i = 0; plan_i < kPlans; ++plan_i) {
         SCOPED_TRACE("wire plan " + std::to_string(plan_i));
@@ -501,84 +525,44 @@ TEST(ChaosSoak, MultiLinkWireFaultsNeverThrowNeverNaN) {
         f.seed = common::substream_seed(kMasterSeed, plan_i ^ 0x3717);
         const common::FaultPlan plan(f);
 
-        // Transport every link, then index the survivors by sequence number
-        // (sequence i carries record i — the encoder consumes one sequence
-        // per record even when an outage eats the frame).
-        struct BySeq final : data::FrameSink {
-            std::vector<const data::TelemetryFrame*> slots;
-            std::vector<data::TelemetryFrame> storage;
-            void on_frame(const data::TelemetryFrame& fr) override {
-                storage.push_back(fr);
-            }
-        };
-        std::vector<BySeq> arrived(kLinks);
+        // Each link's bytes, cut after every instant's frames (sequence i
+        // carries record i: an outage still consumes its sequence).
+        std::vector<std::vector<std::uint8_t>> wire(kLinks);
+        std::vector<std::vector<std::size_t>> cut(kLinks, std::vector<std::size_t>(n));
         for (std::size_t l = 0; l < kLinks; ++l) {
             data::LinkEncoder enc(static_cast<std::uint8_t>(l), 6, &plan);
-            std::vector<std::uint8_t> stream;
-            for (std::size_t i = 0; i < n; ++i)
-                enc.encode(links[l][i], stream);
-            enc.flush(stream);
-
-            data::TelemetryDecoder dec;
-            arrived[l].storage.reserve(n);
-            data::LinkReassembler reasm;
-            struct Raw final : data::WireSink {
-                data::LinkReassembler* reasm;
-                BySeq* out;
-                void on_frame(const data::TelemetryFrame& fr) override {
-                    reasm->push(fr, *out);
-                }
-            } raw;
-            raw.reasm = &reasm;
-            raw.out = &arrived[l];
-            ASSERT_NO_THROW({
-                dec.push(stream, raw);
-                dec.finish(raw);
-                reasm.flush(arrived[l]);
-            });
-            arrived[l].slots.assign(n, nullptr);
-            for (const data::TelemetryFrame& fr : arrived[l].storage)
-                if (fr.sequence < n)
-                    arrived[l].slots[fr.sequence] = &fr;
+            for (std::size_t i = 0; i < n; ++i) {
+                enc.encode(links[l][i], wire[l]);
+                cut[l][i] = wire[l].size();
+            }
+            enc.flush(wire[l]);
+            cut[l][n - 1] = wire[l].size();
         }
 
-        det.reset_stream();
-        std::size_t violations = 0;
-        std::string first_violation;
-        std::vector<core::LinkFrame> obs_links(kLinks);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t l = 0; l < kLinks; ++l) {
-                obs_links[l] = core::LinkFrame{};
-                if (arrived[l].slots[i] != nullptr) {
-                    obs_links[l].present = true;
-                    obs_links[l].csi = arrived[l].slots[i]->record.csi;
+        pipeline.reset();
+        check = Check{};
+        const wifisense::alloc::AllocationProbe probe;
+        try {
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::size_t l = 0; l < kLinks; ++l) {
+                    const std::span<const std::uint8_t> all(wire[l]);
+                    const std::size_t begin = i == 0 ? 0 : cut[l][i - 1];
+                    const std::size_t len = cut[l][i] - begin;
+                    const std::size_t split = rng() % (len + 1);
+                    pipeline.push(l, all.subspan(begin, split));
+                    pipeline.push(l, all.subspan(begin + split, len - split));
                 }
             }
-            core::MultiLinkObservation obs;
-            obs.timestamp = links[0][i].timestamp;
-            obs.has_env = true;
-            obs.temperature_c = links[0][i].temperature_c;
-            obs.humidity_pct = links[0][i].humidity_pct;
-            obs.links = obs_links;
-            core::FusionDecision d;
-            try {
-                d = det.process(obs);
-            } catch (const std::exception& e) {
-                FAIL() << "process() threw on record " << i << ": " << e.what();
-            }
-            std::string why = decision_violation(d.base);
-            if (why.empty() &&
-                !(std::isfinite(d.mean_link_health) &&
-                  d.mean_link_health >= 0.0 && d.mean_link_health <= 1.0))
-                why = "mean_link_health outside [0,1] or non-finite";
-            if (why.empty() && d.links_used > kLinks)
-                why = "links_used exceeds link count";
-            if (!why.empty() && ++violations == 1)
-                first_violation = "record " + std::to_string(i) + ": " + why;
+            pipeline.finish();
+        } catch (const std::exception& e) {
+            FAIL() << "the pipeline threw: " << e.what();
         }
-        EXPECT_EQ(violations, 0u) << first_violation;
+        EXPECT_EQ(probe.delta(), 0u);
+        EXPECT_EQ(check.violations, 0u) << check.first_violation;
+        EXPECT_EQ(check.out_of_order, 0u);
+        EXPECT_LE(check.decisions, n);
         const core::FusionStats& st = det.stats();
-        EXPECT_EQ(st.observations, n);
+        EXPECT_EQ(st.observations, check.decisions);
         EXPECT_EQ(st.full_fusion + st.subset_fusion + st.single_link +
                       st.env_only + st.stale_hold,
                   st.observations);

@@ -1096,22 +1096,4 @@ TEST(LinkFusion, LinkDropoutFusedIsDeterministicAndRecenters) {
         std::invalid_argument);
 }
 
-TEST(LinkFusion, IngestStatsMergeSumsCounters) {
-    data::IngestStats a, b;
-    a.total = 10;
-    a.accepted = 8;
-    a.quarantined = 2;
-    a.max_gap_s = 1.5;
-    b.total = 5;
-    b.accepted = 5;
-    b.gaps = 3;
-    b.max_gap_s = 4.0;
-    a.merge(b);
-    EXPECT_EQ(a.total, 15u);
-    EXPECT_EQ(a.accepted, 13u);
-    EXPECT_EQ(a.quarantined, 2u);
-    EXPECT_EQ(a.gaps, 3u);
-    EXPECT_DOUBLE_EQ(a.max_gap_s, 4.0);
-}
-
 }  // namespace
